@@ -7,7 +7,6 @@ length`` lines (hopsets) or ``tail head`` lines (shortcuts).
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 from .graphs import DiGraph, EdgeSet, WeightedEdgeSet
@@ -47,19 +46,17 @@ def read_graph(path: str | Path) -> DiGraph:
         raise FormatError(str(exc)) from exc
 
 
+def _lines(fmt: str, *columns) -> str:
+    return "".join(map(fmt.format, *(c.tolist() for c in columns)))
+
+
 def write_graph(g: DiGraph, path: str | Path) -> None:
-    buf = io.StringIO()
-    buf.write(f"{g.vertex_count} {g.edge_count} {g.max_length_bound}\n")
-    for t, h, w in g.edges():
-        buf.write(f"{t} {h} {w}\n")
-    Path(path).write_text(buf.getvalue())
+    header = f"{g.vertex_count} {g.edge_count} {g.max_length_bound}\n"
+    Path(path).write_text(header + _lines("{} {} {}\n", g.tails, g.heads, g.lengths))
 
 
 def write_weighted_edge_set(es: WeightedEdgeSet, path: str | Path) -> None:
-    buf = io.StringIO()
-    for t, h, w in es:
-        buf.write(f"{t} {h} {w}\n")
-    Path(path).write_text(buf.getvalue())
+    Path(path).write_text(_lines("{} {} {}\n", es.tails, es.heads, es.lengths))
 
 
 def read_weighted_edge_set(path: str | Path) -> WeightedEdgeSet:
@@ -72,10 +69,7 @@ def read_weighted_edge_set(path: str | Path) -> WeightedEdgeSet:
 
 
 def write_edge_set(es: EdgeSet, path: str | Path) -> None:
-    buf = io.StringIO()
-    for t, h in es:
-        buf.write(f"{t} {h}\n")
-    Path(path).write_text(buf.getvalue())
+    Path(path).write_text(_lines("{} {}\n", es.tails, es.heads))
 
 
 def read_edge_set(path: str | Path) -> EdgeSet:

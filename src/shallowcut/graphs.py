@@ -8,6 +8,7 @@ are bounded by N which is polynomial in n, far below 2**53).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -407,48 +408,69 @@ def scc_topological(g: DiGraph) -> list[tuple[int, ...]]:
         return []
     z, labels = connected_components(g._csr, connection="strong", directed=True)
     comps = [np.flatnonzero(labels == c) for c in range(z)]
-    order = _topo_order_of_components(labels, z, g.tails, g.heads)
+    order = _topo_order_of_components(*_condensation_succs(labels, z, g.tails, g.heads))
     return [tuple(int(v) for v in comps[c]) for c in order]
 
 
 def _condensation_succs(
     labels: np.ndarray, z: int, tails: np.ndarray, heads: np.ndarray
-) -> list[np.ndarray]:
-    """Deduplicated successor lists of the condensation, indexed by label."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deduplicated successor lists of the condensation in CSR form: the
+    successors of component c are succ[ptr[c]:ptr[c + 1]], ascending."""
     lt, lh = labels[tails], labels[heads]
     cross = lt != lh
-    succs: list[np.ndarray] = [np.empty(0, dtype=_INT)] * z
-    if cross.any():
-        pairs = np.unique(np.stack([lt[cross], lh[cross]], axis=1), axis=0)
-        split = np.searchsorted(pairs[:, 0], np.arange(z + 1))
-        for c in range(z):
-            succs[c] = pairs[split[c] : split[c + 1], 1]
-    return succs
+    # one sorted 1-D key per pair; sorting it orders pairs by (tail, head)
+    key = np.sort(lt[cross].astype(_INT) * z + lh[cross])
+    if len(key):
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    ptr = np.searchsorted(key, np.arange(z + 1, dtype=_INT) * z)
+    return ptr, key % z
 
 
-def _topo_order_of_components(
-    labels: np.ndarray, z: int, tails: np.ndarray, heads: np.ndarray
-) -> list[int]:
-    succs = _condensation_succs(labels, z, tails, heads)
-    indeg = np.zeros(z, dtype=_INT)
-    for s in succs:
-        np.add.at(indeg, s, 1)
+def _topo_order_of_components(ptr: np.ndarray, succ: np.ndarray) -> list[int]:
+    z = len(ptr) - 1
+    indeg = np.bincount(succ, minlength=z)
     # smallest-label-first Kahn keeps the order deterministic
-    import heapq
-
-    ready = [int(c) for c in np.flatnonzero(indeg == 0)]
+    ready = np.flatnonzero(indeg == 0).tolist()
     heapq.heapify(ready)
     order = []
     while ready:
         c = heapq.heappop(ready)
         order.append(c)
-        s = succs[c]
-        np.subtract.at(indeg, s, 1)
-        for t in s[indeg[s] == 0]:
-            heapq.heappush(ready, int(t))
+        s = succ[ptr[c] : ptr[c + 1]]
+        if len(s):
+            indeg[s] -= 1  # no repeats: successor lists are deduplicated
+            for t in s[indeg[s] == 0].tolist():
+                heapq.heappush(ready, t)
     if len(order) != z:
         raise AssertionError("condensation was not acyclic")
     return order
+
+
+def condensation_closure(g: DiGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Strong-component labels of g and the reachability closure of its
+    condensation: u reaches v exactly when reach[labels[u], labels[v]].
+
+    reach is z x z for z components, so it stays small when the vertex
+    closure itself is dense.
+    """
+    if g.vertex_count == 0:
+        return np.empty(0, dtype=_INT), np.zeros((0, 0), dtype=bool)
+    z, labels = connected_components(g._csr, connection="strong", directed=True)
+    ptr, succ = _condensation_succs(labels, z, g.tails, g.heads)
+    reach = np.eye(z, dtype=bool)
+    for c in reversed(_topo_order_of_components(ptr, succ)):
+        if ptr[c + 1] > ptr[c]:
+            reach[c] |= reach[succ[ptr[c] : ptr[c + 1]]].any(axis=0)
+    return labels, reach
+
+
+def pairs_reachable(g: DiGraph, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """For each i, does tails[i] reach heads[i] in g?"""
+    if len(tails) == 0:
+        return np.ones(0, dtype=bool)
+    labels, reach = condensation_closure(g)
+    return reach[labels[tails], labels[heads]]
 
 
 def weak_diameter(g: DiGraph, s: Iterable[int]) -> float:
@@ -494,30 +516,26 @@ def induced_subgraph(g: DiGraph, vertices: Sequence[int]) -> tuple[DiGraph, np.n
 
 def reachable_pairs(g: DiGraph) -> EdgeSet:
     """All ordered pairs (u, v), u != v, with u reaching v: the transitive
-    closure minus the diagonal.
+    closure minus the diagonal, in canonical (tail, head) order.
 
-    Works at component level (condensation closure), so it stays cheap even
-    when the closure itself is dense.
+    Expands the condensation closure in row blocks of at most
+    max(z * z, n) cells, so the n x n mask is never held at once when the
+    z x z closure is smaller.
     """
-    n = g.vertex_count
-    if n == 0:
-        return EdgeSet.empty()
-    z, labels = connected_components(g._csr, connection="strong", directed=True)
-    order = _topo_order_of_components(labels, z, g.tails, g.heads)
-    succs = _condensation_succs(labels, z, g.tails, g.heads)
-    reach = np.zeros((z, z), dtype=bool)
-    for c in reversed(order):
-        reach[c, c] = True
-        if len(succs[c]):
-            reach[c] |= reach[succs[c]].any(axis=0)
-    members = [np.flatnonzero(labels == c) for c in range(z)]
+    labels, reach = condensation_closure(g)
+    n, z = g.vertex_count, len(reach)
+    rows = max(1, z * z // max(n, 1))
     t_parts, h_parts = [], []
-    for c in range(z):
-        targets = np.concatenate([members[d] for d in np.flatnonzero(reach[c])])
-        src = members[c]
-        t_parts.append(np.repeat(src, len(targets)))
-        h_parts.append(np.tile(targets, len(src)))
-    t = np.concatenate(t_parts)
-    h = np.concatenate(h_parts)
-    keep = t != h
-    return EdgeSet.from_arrays(t[keep], h[keep])
+    for start in range(0, n, rows):
+        block = reach[labels[start : start + rows]][:, labels]
+        k = len(block)
+        block[np.arange(k), np.arange(start, start + k)] = False
+        t, h = np.nonzero(block)
+        t_parts.append(t + start)
+        h_parts.append(h)
+    if not t_parts:
+        return EdgeSet.empty()
+    return EdgeSet(
+        np.concatenate(t_parts).astype(_INT, copy=False),
+        np.concatenate(h_parts).astype(_INT, copy=False),
+    )

@@ -22,9 +22,10 @@ from .graphs import (
     check_approx_hopbound,
     dist_all_pairs,
     hop_limited_dist,
+    pairs_reachable,
     reachable_pairs,
 )
-from .verify import _pairs_reachable, verify_hopset
+from .verify import verify_hopset
 
 log = logging.getLogger(__name__)
 
@@ -178,7 +179,7 @@ def shortcut_as_hopset(
     """
     if len(shortcut) == 0:
         return WeightedEdgeSet.empty()
-    ok = _pairs_reachable(g, shortcut.tails, shortcut.heads)
+    ok = pairs_reachable(g, shortcut.tails, shortcut.heads)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
         raise ValueError(
@@ -193,18 +194,6 @@ def shortcut_as_hopset(
     dist = dist_from_sources(g, sources)
     lengths = dist[inv, shortcut.heads].astype(np.int64)
     return WeightedEdgeSet.from_arrays(shortcut.tails, shortcut.heads, lengths)
-
-
-def exact_transitive_oracle(call: OracleCall) -> WeightedEdgeSet:
-    """Functional form of ExactTransitiveOracle for one-off use."""
-    return ExactTransitiveOracle(call.graph.vertex_count).build(call)
-
-
-def hub_sampling_oracle(
-    call: OracleCall, hub_rate: float, rng: np.random.Generator
-) -> WeightedEdgeSet:
-    """Functional form of HubSamplingOracle for one-off use."""
-    return HubSamplingOracle(call.graph.vertex_count, hub_rate).build(call, rng)
 
 
 class ShortcutOracleAdapter:

@@ -25,6 +25,7 @@ from .graphs import (
     dist_from_sources,
     hop_limited_dist,
     induced_subgraph,
+    pairs_reachable,
     scc_topological,
     strong_diameter,
 )
@@ -213,7 +214,7 @@ def verify_shortcut(
     violations: list[Violation] = []
     count = 0
 
-    reach_ok = _pairs_reachable(g, shortcut.tails, shortcut.heads)
+    reach_ok = pairs_reachable(g, shortcut.tails, shortcut.heads)
     for i in np.flatnonzero(~reach_ok):
         count = _collect(
             violations,
@@ -243,23 +244,6 @@ def verify_shortcut(
         violation_count=count,
         measured_hopbound=diam,
     )
-
-
-def _pairs_reachable(g: DiGraph, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """Vectorized reachability test via the condensation closure."""
-    if len(tails) == 0:
-        return np.ones(0, dtype=bool)
-    z, labels = connected_components(g._csr, connection="strong", directed=True)
-    # propagate along the condensation in reverse topological order
-    from .graphs import _condensation_succs, _topo_order_of_components
-
-    order = _topo_order_of_components(labels, z, g.tails, g.heads)
-    succs = _condensation_succs(labels, z, g.tails, g.heads)
-    reach = np.eye(z, dtype=bool)
-    for c in reversed(order):
-        if len(succs[c]):
-            reach[c] |= reach[succs[c]].any(axis=0)
-    return reach[labels[tails], labels[heads]]
 
 
 def verify_ldd(

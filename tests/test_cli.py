@@ -7,7 +7,9 @@ import pytest
 
 from shallowcut import (
     DiGraph,
+    EdgeSet,
     GeneratorSpec,
+    WeightedEdgeSet,
     dist_all_pairs,
     generate,
     scc_topological,
@@ -19,6 +21,7 @@ from shallowcut.fileio import (
     read_graph,
     write_edge_set,
     write_graph,
+    write_weighted_edge_set,
 )
 
 
@@ -73,6 +76,27 @@ class TestFileIo:
         assert list(back.edges()) == list(g.edges())
         assert back.max_length_bound == g.max_length_bound
 
+    @pytest.mark.parametrize("size", [0, 1, 200])
+    def test_writers_keep_the_per_line_format(self, tmp_path, size):
+        rng = np.random.default_rng(size)
+        t, h, w = (rng.integers(0, 10**6, size) for _ in range(3))
+        g = DiGraph.from_arrays(10**6, t, h, w + 1)
+        hopset = WeightedEdgeSet.from_arrays(t, h, w + 1)
+        shortcut = EdgeSet.from_arrays(t, h)
+        write_graph(g, tmp_path / "g.txt")
+        write_weighted_edge_set(hopset, tmp_path / "h.txt")
+        write_edge_set(shortcut, tmp_path / "s.txt")
+        header = f"{g.vertex_count} {g.edge_count} {g.max_length_bound}\n"
+        assert (tmp_path / "g.txt").read_text() == header + "".join(
+            f"{a} {b} {c}\n" for a, b, c in g.edges()
+        )
+        assert (tmp_path / "h.txt").read_text() == "".join(
+            f"{a} {b} {c}\n" for a, b, c in hopset
+        )
+        assert (tmp_path / "s.txt").read_text() == "".join(
+            f"{a} {b}\n" for a, b in shortcut
+        )
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 1\n0 1 1\n")
@@ -125,6 +149,18 @@ class TestCliReduce:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["config"]["mode"] == "shortcut"
         assert len(manifest["input_sha256"]) == 64
+
+    def test_repeated_runs_write_identical_artifact_and_report(self, tmp_path):
+        graph = tmp_path / "g.txt"
+        main(["gen", "--family", "path", "--n", "96", "--out", str(graph)])
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for run in runs:
+            assert main([
+                "reduce", str(graph), "--mode", "shortcut", "--lambda", "8",
+                "--h", "8", "--reps", "2", "--seed", "3", "--out-dir", str(run),
+            ]) == 0
+        for name in ("shortcut.txt", "report.json"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
     def test_hopset_mode_clamp_free(self, tmp_path):
         graph = tmp_path / "g.txt"

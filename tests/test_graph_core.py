@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shallowcut import (
@@ -15,12 +15,14 @@ from shallowcut import (
     check_approx_hopbound,
     dist_all_pairs,
     hop_limited_dist,
+    pairs_reachable,
     reachability_diameter,
     reachable_pairs,
     scc_topological,
     strong_diameter,
     weak_diameter,
 )
+from shallowcut.graphs import condensation_closure
 
 
 @st.composite
@@ -36,6 +38,24 @@ def random_graphs(draw, max_n=50, max_m=150, max_len=8):
         for _ in range(m)
     ]
     return DiGraph.from_edges(n, edges, max_length_bound=max_len)
+
+
+@st.composite
+def closure_graphs(draw, max_n=20, max_m=50):
+    """Unit-length graphs with self-loops and parallel edges; half of them
+    acyclic apart from self-loops, so every vertex is its own component."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    if n == 0:
+        return DiGraph.from_edges(0, [])
+    forward_only = draw(st.booleans())
+    edges = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_m))):
+        t, h = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if forward_only:
+            t, h = min(t, h), max(t, h)
+        edges.append((t, h, 1))
+    repeated = edges[: draw(st.integers(0, len(edges)))]
+    return DiGraph.from_edges(n, edges + repeated, max_length_bound=1)
 
 
 def unit_path(n):
@@ -240,10 +260,27 @@ class TestReachablePairs:
         g = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
         assert len(reachable_pairs(g)) == 6
 
-    @given(random_graphs(max_n=20, max_m=50))
-    @settings(max_examples=40, deadline=None)
+    @given(closure_graphs())
+    @example(DiGraph.from_edges(0, []))
+    @example(DiGraph.from_edges(1, []))
+    @example(DiGraph.from_edges(1, [(0, 0, 1), (0, 0, 1)]))
+    @example(DiGraph.from_edges(3, [(0, 1, 1), (0, 1, 1), (1, 1, 1), (1, 2, 1)]))
+    @settings(max_examples=80, deadline=None)
     def test_matches_distance_matrix(self, g):
-        dist = dist_all_pairs(g)
-        np.fill_diagonal(dist, np.inf)
-        expected = {(int(u), int(v)) for u, v in zip(*np.nonzero(np.isfinite(dist)))}
-        assert set(reachable_pairs(g)) == expected
+        n = g.vertex_count
+        reach = np.isfinite(dist_all_pairs(g))
+        labels, comp_reach = condensation_closure(g)
+        assert np.array_equal(comp_reach[labels][:, labels], reach)
+        u, v = np.divmod(np.arange(n * n, dtype=np.int64), max(n, 1))
+        assert np.array_equal(pairs_reachable(g, u, v), reach.ravel())
+
+        np.fill_diagonal(reach, False)
+        pairs = reachable_pairs(g)
+        expected_t, expected_h = np.nonzero(reach)
+        assert np.array_equal(pairs.tails, expected_t)
+        assert np.array_equal(pairs.heads, expected_h)
+        # canonical without EdgeSet.from_arrays: strictly increasing, no diagonal
+        assert pairs.tails.dtype == pairs.heads.dtype == np.int64
+        key = pairs.tails * n + pairs.heads
+        assert np.all(np.diff(key) > 0)
+        assert not np.any(pairs.tails == pairs.heads)

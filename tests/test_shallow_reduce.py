@@ -1,5 +1,6 @@
 """General reduction: scaling, stars, epochs, and the two top drivers."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -233,6 +234,38 @@ class TestReduceShortcut:
         report = reduce_shortcut(g, cfg, ExactReachabilityOracle(64))
         external = verify_shortcut(g, report.shortcut, 8)
         assert external.passed == report.verification.passed
+
+
+def _edge_digest(es):
+    return hashlib.sha256(
+        np.ascontiguousarray(es.tails, dtype="<i8").tobytes()
+        + np.ascontiguousarray(es.heads, dtype="<i8").tobytes()
+    ).hexdigest()[:12]
+
+
+class TestPinnedShortcuts:
+    """Digests of reduce_shortcut's shortcut on unit paths, lambda = h = 16,
+    two LDD repetitions, seeds 0-2, recorded from the implementation that
+    deduplicated condensation edges with np.unique(axis=0) and expanded
+    reachable pairs component by component. Any change to the closure's
+    pair set or order moves them."""
+
+    PINNED = {
+        256: ["2b7a1679fb9b", "c762c9898efb", "25526158afa2"],
+        1024: ["cc4900f2ddec", "0071936fedaa", "10a87f000344"],
+    }
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_unit_path(self, n):
+        g = unit_path(n)
+        got = [
+            _edge_digest(reduce_shortcut(
+                g, ReductionConfig(lam=16, h=16, ldd_repetitions=2, seed=seed),
+                ExactReachabilityOracle(n), verify=False,
+            ).shortcut)
+            for seed in range(3)
+        ]
+        assert got == self.PINNED[n]
 
 
 class TestSizeBound:
