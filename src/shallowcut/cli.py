@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: gen, ldd, dag-reduce, reduce, verify, bench. Exit codes:
+Subcommands: gen, ldd, dag-reduce, reduce, verify. Exit codes:
 0 success, 1 verification failure, 2 usage error (argparse's own
 convention for bad flags is preserved).
 """
@@ -8,7 +8,6 @@ convention for bad flags is preserved).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -277,42 +276,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _cmd_bench(args) -> int:
-    cfg = ReductionConfig(
-        lam=args.lam,
-        h=args.h,
-        eps=_parse_fraction(args.eps),
-        seed=args.seed,
-        ldd_repetitions=args.reps,
-    )
-    rows = []
-    for rep in range(args.repeat):
-        g = _load_graph(args.graph)
-        oracle = _make_oracle(args.oracle, g.vertex_count, args.hub_rate)
-        t0 = time.perf_counter()
-        report = reduce_hopset(g, cfg, oracle, clamp_distances=False, measure=False)
-        elapsed = time.perf_counter() - t0
-        rows.append(
-            {
-                "rep": rep,
-                "n": g.vertex_count,
-                "m": g.edge_count,
-                "hopset_size": report.total_size,
-                "oracle_calls": report.oracle_calls,
-                "ldd_calls": report.ldd_calls,
-                "seconds": round(elapsed, 4),
-            }
-        )
-    out = _out_dir(args) / "bench.csv"
-    with out.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-    med = float(np.median([r["seconds"] for r in rows]))
-    print(f"wrote {out} ({len(rows)} rows, median {med:.3f}s)")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -389,14 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ceiling", type=int, default=2000)
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bench", help="timed pipeline repetitions, CSV output")
-    p.add_argument("graph")
-    _add_reduce_config(p)
-    p.add_argument("--reps", type=int, default=1, help="LDD repetitions per phase")
-    p.add_argument("--repeat", type=int, default=1, help="timed pipeline runs")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -113,14 +113,7 @@ def strip_cross_edges(g: DiGraph, groups: Sequence[tuple[int, ...]]) -> DiGraph:
         group[list(comp)] = i
     if (group < 0).any():
         raise ValueError("groups must partition the vertex set")
-    keep = group[g.tails] == group[g.heads]
-    return DiGraph(
-        g.vertex_count,
-        g.tails[keep].copy(),
-        g.heads[keep].copy(),
-        g.lengths[keep].copy(),
-        g.max_length_bound,
-    )
+    return g.edge_subset(group[g.tails] == group[g.heads])
 
 
 def reduce_clustered_dag(

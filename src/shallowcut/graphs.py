@@ -109,6 +109,16 @@ class DiGraph:
     def _csr_rev(self) -> sp.csr_matrix:
         return _min_csr(self.vertex_count, self.heads, self.tails, self.lengths)
 
+    def edge_subset(self, keep: np.ndarray) -> "DiGraph":
+        """Same vertices and length bound, only the edges where keep is True."""
+        return DiGraph(
+            self.vertex_count,
+            self.tails[keep],
+            self.heads[keep],
+            self.lengths[keep],
+            self.max_length_bound,
+        )
+
     def with_extra(self, extra: Optional["WeightedEdgeSet"]) -> "DiGraph":
         """New graph with the overlay edges appended (original untouched)."""
         if extra is None or len(extra) == 0:

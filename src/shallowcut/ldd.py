@@ -66,14 +66,7 @@ class LddResult:
         return mask
 
     def remaining_graph(self, g: DiGraph) -> DiGraph:
-        keep = ~self.removed_mask(g)
-        return DiGraph(
-            g.vertex_count,
-            g.tails[keep].copy(),
-            g.heads[keep].copy(),
-            g.lengths[keep].copy(),
-            g.max_length_bound,
-        )
+        return g.edge_subset(~self.removed_mask(g))
 
 
 def _adjacency(mat: sp.csr_matrix, max_length: int) -> _Adjacency:
@@ -360,13 +353,7 @@ def _refine_to_sccs(
     G - E^rem it contains, keeping a valid topological order overall."""
     keep = np.ones(g.edge_count, dtype=bool)
     keep[removed] = False
-    remaining = DiGraph(
-        g.vertex_count,
-        g.tails[keep].copy(),
-        g.heads[keep].copy(),
-        g.lengths[keep].copy(),
-        g.max_length_bound,
-    )
+    remaining = g.edge_subset(keep)
     out: list[tuple[int, ...]] = []
     for group in coarse:
         if len(group) <= 1:

@@ -3,7 +3,9 @@
 An oracle receives an approximately-shallow digraph (the caller promises an
 alpha0-approximate shortest path hopbound of lambda*h) and must return a
 hopset bringing the hopbound down to h, with a declared linear size law
-|output| <= a * m0 + b.
+|output| <= a * m0 + b. Hopset oracles implement `build`; shortcut oracles
+implement `build_shortcut` and reach the epoch loop through
+`ShortcutOracleAdapter`.
 """
 
 from __future__ import annotations
@@ -167,15 +169,10 @@ class ExactReachabilityOracle:
         return reachable_pairs(call.graph)
 
 
-def shortcut_as_hopset(
-    shortcut: EdgeSet, g: DiGraph, distance_preserving: bool = True
-) -> WeightedEdgeSet:
-    """Wrap a reachability-only shortcut as weighted hopset edges.
-
-    Distance-preserving mode assigns each edge its true distance in g;
-    pure-reachability mode assigns length 1 (lengths then carry no
-    distance meaning). Edges between unreachable pairs are rejected: they
-    would not be shortcut edges at all.
+def shortcut_as_hopset(shortcut: EdgeSet, g: DiGraph) -> WeightedEdgeSet:
+    """Wrap a reachability-only shortcut as hopset edges of length 1
+    (lengths then carry no distance meaning). Edges between unreachable
+    pairs are rejected: they would not be shortcut edges at all.
     """
     if len(shortcut) == 0:
         return WeightedEdgeSet.empty()
@@ -186,25 +183,17 @@ def shortcut_as_hopset(
             f"shortcut edge ({int(shortcut.tails[i])}, {int(shortcut.heads[i])}) "
             "does not join a reachable pair"
         )
-    if not distance_preserving:
-        return shortcut.with_unit_lengths()
-    sources, inv = np.unique(shortcut.tails, return_inverse=True)
-    from .graphs import dist_from_sources
-
-    dist = dist_from_sources(g, sources)
-    lengths = dist[inv, shortcut.heads].astype(np.int64)
-    return WeightedEdgeSet.from_arrays(shortcut.tails, shortcut.heads, lengths)
+    return shortcut.with_unit_lengths()
 
 
 class ShortcutOracleAdapter:
     """Present a shortcut oracle as a hopset oracle with unbounded stretch."""
 
-    def __init__(self, inner, distance_preserving: bool = False):
+    def __init__(self, inner):
         self.inner = inner
-        self.distance_preserving = distance_preserving
         self.size_law = inner.size_law
         self.stretch_factor: Optional[Fraction] = None  # unbounded
 
     def build(self, call: OracleCall, rng=None) -> WeightedEdgeSet:
         shortcut = self.inner.build_shortcut(call, rng)
-        return shortcut_as_hopset(shortcut, call.graph, self.distance_preserving)
+        return shortcut_as_hopset(shortcut, call.graph)

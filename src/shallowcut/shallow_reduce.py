@@ -6,23 +6,27 @@ graph with a low-diameter decomposition, force-bounds the strong diameter
 of every piece with star edges, runs the clustered-DAG reduction, and
 scales the resulting edges back up. Repetitions with fresh randomness are
 unioned so that every fixed path is handled well by some sample.
+
+A shortcut is the case with a single length scale: shortcut mode runs the
+same epoch loop with one phase per epoch, band 0 with sigma = 1 on the
+unscaled working graph, and no eps anywhere.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .dag_reduce import ClusteredInput, DagReduceTrace, reduce_clustered_dag
-from .graphs import DiGraph, EdgeSet, WeightedEdgeSet, dist_all_pairs
+from .graphs import DiGraph, EdgeSet, WeightedEdgeSet, dist_all_pairs, hop_limited_dist
 from .ldd import LddParams, low_diameter_decomposition
 from .oracles import OracleSizeLaw, ShallowOracle, ShortcutOracleAdapter
-from .verify import VerificationReport, verify_shortcut
+from .verify import VerificationReport, _hop_radius, max_stretch, verify_shortcut
 
 log = logging.getLogger(__name__)
 
@@ -36,7 +40,8 @@ class ReductionConfig:
     Strict mode enforces the theoretical constraint
     lambda > c0 * log^3(n) * (1/eps^2 + 1); desk-scale mode (the default)
     only clamps the derived epoch base lambda' to at least 2 and records
-    the clamp.
+    the clamp. A shortcut has no stretch to trade against hops, so with
+    shortcut=True the formulas leave eps out.
     """
 
     lam: int
@@ -61,26 +66,31 @@ class ReductionConfig:
         if self.lam * self.h < 2:
             raise ValueError("lambda * h must be at least 2")
 
-    def validate_strict(self, n: int) -> None:
-        bound = float(self.c0) * math.log2(max(n, 2)) ** 3 * (1 / float(self.eps) ** 2 + 1)
+    def validate_strict(self, n: int, shortcut: bool = False) -> None:
+        stretch_term = 0 if shortcut else 1 / float(self.eps) ** 2
+        bound = float(self.c0) * math.log2(max(n, 2)) ** 3 * (stretch_term + 1)
         if not self.lam > bound:
             raise ValueError(
                 f"strict mode requires lambda > c0*log^3(n)*(1/eps^2+1) = {bound:.1f}, "
                 f"got lambda = {self.lam}"
             )
 
-    def lambda_prime(self, n: int) -> float:
+    def lambda_prime_unclamped(self, n: int, shortcut: bool = False) -> float:
+        """lambda / (sqrt(c0) * log2(n)^2), times eps when eps <= 1."""
         log2n = math.log2(max(n, 2))
-        scale = math.sqrt(float(self.c0)) * log2n * log2n
-        raw = float(self.lam) / scale
-        if self.eps <= 1:
+        raw = float(self.lam) / (math.sqrt(float(self.c0)) * log2n * log2n)
+        if not shortcut and self.eps <= 1:
             raw *= float(self.eps)
-        return max(raw, 2.0)
+        return raw
 
-    def epoch_count(self, n: int) -> int:
+    def lambda_prime(self, n: int, shortcut: bool = False) -> float:
+        """The epoch base: the unclamped formula, at least 2."""
+        return max(self.lambda_prime_unclamped(n, shortcut), 2.0)
+
+    def epoch_count(self, n: int, shortcut: bool = False) -> int:
         if n < 2:
             return 1
-        return math.ceil(math.log(n) / math.log(self.lambda_prime(n))) + 1
+        return math.ceil(math.log(n) / math.log(self.lambda_prime(n, shortcut))) + 1
 
     def phase_count(self, max_length: int) -> int:
         return max(0, math.ceil(math.log2(max(max_length, 1)))) + 1
@@ -96,7 +106,6 @@ class PhasePlan:
     epoch_index: int
     phase_index: int
     sigma: int
-    scaled_graph: Optional[DiGraph] = None
 
 
 def phase_sigma(j: int, eps: Fraction) -> int:
@@ -229,13 +238,17 @@ def run_phase(
     base_n: Optional[int] = None,
 ) -> tuple[WeightedEdgeSet, PhaseTrace]:
     """One phase: repeat (LDD -> stars -> clustered reduction -> scale up)
-    and union the samples. Edges come back in original-length units."""
+    and union the samples. Edges come back in original-length units.
+
+    sigma = 1 means the band's scale factor is at most 1 (or shortcut
+    mode's single band), so the phase runs on g_prev's own lengths."""
     n = g_prev.vertex_count
     reps = cfg.repetitions(base_n if base_n is not None else n)
     d = (cfg.lam * cfg.h) // 2
     trace = PhaseTrace(plan.epoch_index, plan.phase_index, plan.sigma)
-    scaled = plan.scaled_graph
-    if scaled is None:
+    if plan.sigma == 1:
+        scaled = g_prev
+    else:
         scaled = scale_down_graph(g_prev, plan.phase_index, cfg.eps)
     outputs = []
     for r in range(reps):
@@ -267,14 +280,7 @@ def run_phase(
     return union, trace
 
 
-def reduce_hopset(
-    g: DiGraph,
-    cfg: ReductionConfig,
-    oracle: ShallowOracle,
-    clamp_distances: bool = True,
-    measure: Optional[bool] = None,
-    target_hop_radius: Optional[int] = None,
-) -> ReductionReport:
+def reduce_hopset(g: DiGraph, cfg: ReductionConfig, oracle: ShallowOracle) -> ReductionReport:
     """Full pipeline: epochs of phases against a frozen snapshot, each epoch
     folding its union into the working graph.
 
@@ -282,19 +288,54 @@ def reduce_hopset(
     candidate edge shorter than the true distance is clamped up and
     counted (a nonzero count flags a bug).
     """
+    return _run_epochs(g, cfg, oracle, shortcut=False)
+
+
+def reduce_shortcut(
+    g: DiGraph,
+    cfg: ReductionConfig,
+    shortcut_oracle,
+    verify: bool = True,
+    ceiling: int = 2000,
+) -> ReductionReport:
+    """Reachability-only pipeline: one unscaled phase per epoch, stopping once
+    the hop radius is at most h; the weights are stripped at the end, and
+    the result is checked as a shortcut of hopbound h. The oracle implements
+    build_shortcut."""
+    if g.edge_count and g.lengths.max() != 1:
+        raise ValueError("shortcut mode expects unit edge lengths")
+    report = _run_epochs(g, cfg, ShortcutOracleAdapter(shortcut_oracle), shortcut=True)
+    keep = report.hopset.tails != report.hopset.heads
+    report.shortcut = EdgeSet.from_arrays(
+        report.hopset.tails[keep], report.hopset.heads[keep]
+    )
+    if verify:
+        report.verification = verify_shortcut(g, report.shortcut, cfg.h, ceiling=ceiling)
+    return report
+
+
+def _run_epochs(
+    g: DiGraph, cfg: ReductionConfig, oracle: ShallowOracle, shortcut: bool
+) -> ReductionReport:
+    """The epoch loop of both modes.
+
+    Hopset mode runs one phase per dyadic length band, clamps candidate
+    edges up to the true distance, and measures the hop radius after each
+    epoch and the stretch at the end (up to cfg.measure_ceiling vertices).
+    Shortcut mode runs band 0 alone, where every length is 1 and there is
+    nothing to clamp; it stops once the hop radius is at most h, since the
+    radius only shrinks as edges accumulate and later epochs could only add
+    size.
+    """
     n = g.vertex_count
     if cfg.strict_mode:
-        cfg.validate_strict(n)
-    if measure is None:
-        measure = n <= cfg.measure_ceiling
-    lp = cfg.lambda_prime(n)
-    epochs = cfg.epoch_count(n)
-    phases = cfg.phase_count(g.max_length_bound)
+        cfg.validate_strict(n, shortcut)
+    measure = not shortcut and n <= cfg.measure_ceiling
+    lp = cfg.lambda_prime(n, shortcut)
+    epochs = cfg.epoch_count(n, shortcut)
+    phases = 1 if shortcut else cfg.phase_count(g.max_length_bound)
     reps = cfg.repetitions(n)
-
-    dist0 = None
-    if clamp_distances and n > 0:
-        dist0 = dist_all_pairs(g)
+    dist0 = dist_all_pairs(g) if not shortcut and n > 0 else None
 
     cur = WeightedEdgeSet.empty()
     g_cur = g
@@ -307,7 +348,7 @@ def reduce_hopset(
         phase_outputs = []
         phase_traces = []
         for j in range(phases):
-            plan = PhasePlan(i, j, phase_sigma(j, cfg.eps))
+            plan = PhasePlan(i, j, 1 if shortcut else phase_sigma(j, cfg.eps))
             out, tr = run_phase(g_cur, plan, cfg, oracle, base_n=n)
             if dist0 is not None and len(out):
                 true = dist0[out.tails, out.heads]
@@ -329,13 +370,11 @@ def reduce_hopset(
         epoch_traces.append(phase_traces)
         cur = WeightedEdgeSet.union(cur, *phase_outputs).min_per_pair()
         g_cur = g.with_extra(cur)
-        if measure:
+        if shortcut:
+            if _hop_metric(g_cur) <= cfg.h:
+                break
+        elif measure:
             epoch_hop_metrics.append(_hop_metric(g_cur))
-        # The hop radius only shrinks as edges accumulate, so once it meets
-        # the target the remaining epochs could only add size, never break
-        # the guarantee; stopping here is sound.
-        if target_hop_radius is not None and _hop_metric(g_cur) <= target_hop_radius:
-            break
 
     report = ReductionReport(
         hopset=cur,
@@ -345,16 +384,16 @@ def reduce_hopset(
         ldd_calls=ldd_calls,
         clamp_count=clamp_count,
         lambda_prime=lp,
-        lambda_prime_clamped=_lambda_prime_raw(cfg, n) < 2.0,
+        lambda_prime_clamped=cfg.lambda_prime_unclamped(n, shortcut) < 2.0,
         epoch_count=epochs,
         phase_count=phases,
         repetitions=reps,
         epoch_hop_metrics=epoch_hop_metrics,
     )
     report.size_bound = compute_size_bound(
-        cfg, g.edge_count, oracle.size_law, n, g.max_length_bound
+        cfg, g.edge_count, oracle.size_law, n, g.max_length_bound, shortcut
     )
-    if report.size_bound is not None and len(cur) > report.size_bound["bound"]:
+    if len(cur) > report.size_bound["bound"]:
         log.warning(
             "hopset size %d exceeds the solved-recurrence ceiling %d",
             len(cur), report.size_bound["bound"],
@@ -364,69 +403,24 @@ def reduce_hopset(
     return report
 
 
-def _lambda_prime_raw(cfg: ReductionConfig, n: int) -> float:
-    log2n = math.log2(max(n, 2))
-    raw = float(cfg.lam) / (math.sqrt(float(cfg.c0)) * log2n * log2n)
-    if cfg.eps <= 1:
-        raw *= float(cfg.eps)
-    return raw
-
-
 def _hop_metric(gu: DiGraph) -> int:
-    from .verify import _hop_radius
-
     return _hop_radius(gu, None)
 
 
 def _measure(
     g: DiGraph, hopset: WeightedEdgeSet, h: int
 ) -> tuple[Optional[Fraction], Optional[int]]:
-    from .graphs import hop_limited_dist
-
-    dist = dist_all_pairs(g)
-    dist_h = hop_limited_dist(g, hopset, h)
-    pairs = np.isfinite(dist) & (dist > 0) & np.isfinite(dist_h)
-    stretch = Fraction(1)
-    if pairs.any():
-        with np.errstate(invalid="ignore"):
-            ratio = np.where(pairs, dist_h / np.maximum(dist, 1), -np.inf)
-        u, v = np.unravel_index(np.argmax(ratio), ratio.shape)
-        stretch = max(stretch, Fraction(int(dist_h[u, v]), int(dist[u, v])))
+    stretch = max_stretch(dist_all_pairs(g), hop_limited_dist(g, hopset, h))
     return stretch, _hop_metric(g.with_extra(hopset))
 
 
-def reduce_shortcut(
-    g: DiGraph,
-    cfg: ReductionConfig,
-    shortcut_oracle,
-    verify: bool = True,
-    ceiling: int = 2000,
-) -> ReductionReport:
-    """Reachability-only driver: large eps collapses the phase loop, the
-    weights are stripped at the end, and the result is checked as a
-    shortcut of hopbound h."""
-    if g.edge_count and g.lengths.max() != 1:
-        raise ValueError("shortcut mode expects unit edge lengths")
-    eps = max(Fraction(cfg.eps), Fraction(1024))
-    cfg2 = replace(cfg, eps=eps)
-    oracle = shortcut_oracle
-    if not hasattr(oracle, "build"):
-        oracle = ShortcutOracleAdapter(oracle, distance_preserving=False)
-    report = reduce_hopset(
-        g, cfg2, oracle, clamp_distances=False, measure=False,
-        target_hop_radius=cfg.h,
-    )
-    keep = report.hopset.tails != report.hopset.heads
-    report.shortcut = EdgeSet.from_arrays(
-        report.hopset.tails[keep], report.hopset.heads[keep]
-    )
-    if verify:
-        report.verification = verify_shortcut(g, report.shortcut, cfg.h, ceiling=ceiling)
-    return report
-
-
 def compute_size_bound(
-    cfg: ReductionConfig, m: int, law: OracleSizeLaw, n: int, max_length: int
+    cfg: ReductionConfig,
+    m: int,
+    law: OracleSizeLaw,
+    n: int,
+    max_length: int,
+    shortcut: bool = False,
 ) -> dict:
     """Evaluate the solved size recurrences with explicit constants.
 
@@ -436,11 +430,11 @@ def compute_size_bound(
     log2n = math.log2(max(n, 2))
     log_lam_n = max(1.0, log2n / math.log2(cfg.lam))
     log_big_n = max(1.0, math.log2(max(max_length, 2)))
-    epochs = cfg.epoch_count(n)
+    epochs = cfg.epoch_count(n, shortcut)
     dag_iters = max(1.0, 2.0 * log_lam_n)
     a, b = float(law.a), float(law.b)
     small_a = a < 1.0 / (float(cfg.c0) * log_lam_n * log_lam_n)
-    lp = cfg.lambda_prime(n)
+    lp = cfg.lambda_prime(n, shortcut)
     log_lp_n = max(1.0, log2n / math.log2(lp))
     if small_a:
         branch = "small-a"

@@ -136,21 +136,25 @@ def verify_hopset(
             ),
         )
 
-    stretch = Fraction(1)
-    pairs = finite & (dist > 0) & np.isfinite(dist_h)
-    if pairs.any():
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(pairs, dist_h / np.maximum(dist, 1), -np.inf)
-        u, v = np.unravel_index(np.argmax(ratio), ratio.shape)
-        cand = Fraction(int(dist_h[u, v]), int(dist[u, v]))
-        stretch = max(stretch, cand)
     return VerificationReport(
         passed=count == 0,
         violations=violations,
         violation_count=count,
-        measured_stretch=stretch,
+        measured_stretch=max_stretch(dist, dist_h),
         measured_hopbound=_hop_radius(g, hopset),
     )
+
+
+def max_stretch(dist: np.ndarray, dist_h: np.ndarray) -> Fraction:
+    """Largest dist_h / dist over the pairs at positive finite distance that
+    dist_h reaches, as an exact fraction; at least 1."""
+    pairs = np.isfinite(dist) & (dist > 0) & np.isfinite(dist_h)
+    if not pairs.any():
+        return Fraction(1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(pairs, dist_h / np.maximum(dist, 1), -np.inf)
+    u, v = np.unravel_index(np.argmax(ratio), ratio.shape)
+    return max(Fraction(1), Fraction(int(dist_h[u, v]), int(dist[u, v])))
 
 
 def verify_distance_preservation(
@@ -291,7 +295,6 @@ def verify_ldd(
         )
 
     max_weak = 0
-    verts_all = np.arange(g.vertex_count)
     dist = dist_all_pairs(g)
     for i, comp in enumerate(result.components):
         verts = np.asarray(comp, dtype=np.int64)
@@ -311,7 +314,6 @@ def verify_ldd(
             )
         else:
             max_weak = max(max_weak, int(wd))
-    del verts_all
     return VerificationReport(
         passed=count == 0,
         violations=violations,

@@ -216,15 +216,3 @@ class TestCliVerify:
               "--block-size", "3", "--out", str(graph)])
         assert main(["verify", str(graph), "--kind", "clustered", "--d", "2"]) == 0
         assert main(["verify", str(graph), "--kind", "clustered", "--d", "1"]) == 1
-
-
-class TestCliBench:
-    def test_single_repeat_single_row(self, tmp_path):
-        graph = tmp_path / "g.txt"
-        main(["gen", "--family", "path", "--n", "64", "--out", str(graph)])
-        code = main(["bench", str(graph), "--lambda", "8", "--h", "8",
-                     "--reps", "1", "--repeat", "1", "--out-dir", str(tmp_path)])
-        assert code == 0
-        rows = (tmp_path / "bench.csv").read_text().strip().splitlines()
-        assert len(rows) == 2  # header plus one data row
-        assert rows[0].startswith("rep,n,m,hopset_size,oracle_calls")

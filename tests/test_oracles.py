@@ -116,26 +116,13 @@ class TestShortcutOracle:
         assert set(np.unique(out.lengths)) == {1}
         assert adapter.stretch_factor is None
 
-    def test_adapter_distance_preserving(self):
-        adapter = ShortcutOracleAdapter(
-            ExactReachabilityOracle(4), distance_preserving=True
-        )
-        out = adapter.build(call_on(unit_path(4)))
-        assert dict(((t, h), w) for t, h, w in out)[(0, 3)] == 3
-
 
 class TestShortcutAsHopset:
     def test_empty(self):
         assert len(shortcut_as_hopset(EdgeSet.empty(), unit_path(3))) == 0
 
-    def test_distance_preserving_mode(self):
-        out = shortcut_as_hopset(EdgeSet.from_pairs([(0, 2)]), unit_path(3))
-        assert list(out) == [(0, 2, 2)]
-
     def test_reachability_mode_unit_lengths(self):
-        out = shortcut_as_hopset(
-            EdgeSet.from_pairs([(0, 2)]), unit_path(3), distance_preserving=False
-        )
+        out = shortcut_as_hopset(EdgeSet.from_pairs([(0, 2)]), unit_path(3))
         assert list(out) == [(0, 2, 1)]
 
     def test_rejects_unreachable_pair(self):

@@ -1,6 +1,7 @@
 """General reduction: scaling, stars, epochs, and the two top drivers."""
 
 import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -111,6 +112,7 @@ class TestReductionConfig:
         big = ReductionConfig(lam=4096, h=4, eps=Fraction(8))
         assert small.lambda_prime(16) == pytest.approx(4096 / 32)
         assert big.lambda_prime(16) == pytest.approx(4096 / 16)
+        assert small.lambda_prime(16, shortcut=True) == pytest.approx(4096 / 16)
 
     def test_epoch_count(self):
         cfg = ReductionConfig(lam=8, h=8)
@@ -235,11 +237,25 @@ class TestReduceShortcut:
         external = verify_shortcut(g, report.shortcut, 8)
         assert external.passed == report.verification.passed
 
+    @pytest.mark.parametrize("family", ["path", "disjoint-paths"])
+    def test_shortcut_does_not_depend_on_eps(self, family):
+        # Reachability has no stretch to trade against hops, so eps must
+        # not reach the shortcut.
+        g = generate(GeneratorSpec(family, n=96, paths=4))
+        shortcuts = [
+            reduce_shortcut(
+                g, ReductionConfig(lam=8, h=8, eps=eps, ldd_repetitions=2),
+                ExactReachabilityOracle(96), verify=False,
+            ).shortcut
+            for eps in (Fraction(1, 4), Fraction(1), Fraction(3))
+        ]
+        assert shortcuts[0] == shortcuts[1] == shortcuts[2]
+
 
 def _edge_digest(es):
+    columns = [es.tails, es.heads] + ([es.lengths] if hasattr(es, "lengths") else [])
     return hashlib.sha256(
-        np.ascontiguousarray(es.tails, dtype="<i8").tobytes()
-        + np.ascontiguousarray(es.heads, dtype="<i8").tobytes()
+        b"".join(np.ascontiguousarray(c, dtype="<i8").tobytes() for c in columns)
     ).hexdigest()[:12]
 
 
@@ -266,6 +282,24 @@ class TestPinnedShortcuts:
             for seed in range(3)
         ]
         assert got == self.PINNED[n]
+
+
+class TestPinnedHopsets:
+    """Digests of reduce_hopset's hopset and of its report's JSON on
+    random-gnm n=48 m=144 N=8 (generator seed 0), lambda = h = 8, eps = 1/2,
+    two LDD repetitions, seeds 0-1. Any change to the epoch loop, the
+    clamp, the per-epoch measurement or the report's fields moves them."""
+
+    PINNED = {0: ("d4d49cbf7b6b", "430b775efcfe"), 1: ("3bc8de5c69c7", "4c88b55ee366")}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_gnm(self, seed):
+        g = generate(GeneratorSpec("random-gnm", n=48, m=144, big_n=8, seed=0))
+        cfg = ReductionConfig(lam=8, h=8, eps=Fraction(1, 2), ldd_repetitions=2, seed=seed)
+        report = reduce_hopset(g, cfg, ExactTransitiveOracle(48))
+        text = json.dumps(report.to_json(), sort_keys=True).encode()
+        got = (_edge_digest(report.hopset), hashlib.sha256(text).hexdigest()[:12])
+        assert got == self.PINNED[seed]
 
 
 class TestSizeBound:
