@@ -148,21 +148,21 @@ def reduce_clustered_dag(
     eps = Fraction(eps)
     groups: list[tuple[int, ...]] = list(cinput.components_topo)
     trace = DagReduceTrace()
-    pieces: list[WeightedEdgeSet] = []
+    acc = WeightedEdgeSet.empty()
     alpha0 = Fraction(1)
     i = 0
     if g.vertex_count == 0:
         return WeightedEdgeSet.empty(), trace
     while True:
         i += 1
-        current = g.with_extra(WeightedEdgeSet.union(*pieces) if pieces else None)
+        current = g.with_extra(acc)
         stripped = strip_cross_edges(current, groups)
         call = OracleCall(alpha0, stripped, lam * h, h)
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=seed_seq.entropy, spawn_key=tuple(seed_seq.spawn_key) + (i,)
         ))
         hopset = checked_call(oracle, call, rng, debug=debug)
-        pieces.append(hopset)
+        acc = WeightedEdgeSet.union(acc, hopset)
         trace.iterations.append(
             DagIterationRecord(i, alpha0, len(groups), stripped.edge_count, len(hopset))
         )
@@ -170,4 +170,4 @@ def reduce_clustered_dag(
             break
         groups = merge_groups(groups, lam)
         alpha0 *= 1 + eps
-    return WeightedEdgeSet.union(*pieces), trace
+    return acc, trace

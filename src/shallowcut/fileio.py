@@ -46,17 +46,27 @@ def read_graph(path: str | Path) -> DiGraph:
         raise FormatError(str(exc)) from exc
 
 
-def _lines(fmt: str, *columns) -> str:
-    return "".join(map(fmt.format, *(c.tolist() for c in columns)))
+# rows formatted per write: the Python ints and strings of one chunk are a
+# few MB, where those of a whole half-million-edge set took over 50 MB
+_CHUNK = 1 << 16
+
+
+def _write_lines(path: str | Path, header: str, fmt: str, *columns) -> None:
+    """Write header, then fmt formatted with each row of the columns."""
+    with Path(path).open("w") as f:
+        f.write(header)
+        for start in range(0, len(columns[0]), _CHUNK):
+            rows = (c[start : start + _CHUNK].tolist() for c in columns)
+            f.write("".join(map(fmt.format, *rows)))
 
 
 def write_graph(g: DiGraph, path: str | Path) -> None:
     header = f"{g.vertex_count} {g.edge_count} {g.max_length_bound}\n"
-    Path(path).write_text(header + _lines("{} {} {}\n", g.tails, g.heads, g.lengths))
+    _write_lines(path, header, "{} {} {}\n", g.tails, g.heads, g.lengths)
 
 
 def write_weighted_edge_set(es: WeightedEdgeSet, path: str | Path) -> None:
-    Path(path).write_text(_lines("{} {} {}\n", es.tails, es.heads, es.lengths))
+    _write_lines(path, "", "{} {} {}\n", es.tails, es.heads, es.lengths)
 
 
 def read_weighted_edge_set(path: str | Path) -> WeightedEdgeSet:
@@ -69,7 +79,7 @@ def read_weighted_edge_set(path: str | Path) -> WeightedEdgeSet:
 
 
 def write_edge_set(es: EdgeSet, path: str | Path) -> None:
-    Path(path).write_text(_lines("{} {}\n", es.tails, es.heads))
+    _write_lines(path, "", "{} {}\n", es.tails, es.heads)
 
 
 def read_edge_set(path: str | Path) -> EdgeSet:

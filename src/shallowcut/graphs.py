@@ -131,21 +131,50 @@ class DiGraph:
 
 
 def _min_csr(n: int, tails: np.ndarray, heads: np.ndarray, lengths: np.ndarray) -> sp.csr_matrix:
-    if len(tails) == 0:
-        return sp.csr_matrix((n, n))
     keep = tails != heads
-    t, h, w = tails[keep], heads[keep], lengths[keep]
-    if len(t) == 0:
+    if not keep.any():
         return sp.csr_matrix((n, n))
-    # coo construction sums duplicates, so reduce parallel edges to min first
-    key = t * n + h
-    order = np.lexsort((w, key))
-    key, t, h, w = key[order], t[order], h[order], w[order]
+    # one row per (tail, head) pair, the lightest, already in CSR order
+    t, h, w = _sorted_unique(tails[keep], heads[keep], lengths[keep], key_columns=2)
+    indptr = np.searchsorted(t, np.arange(n + 1, dtype=_INT))
+    return sp.csr_matrix((w.astype(np.float64), h, indptr), shape=(n, n))
+
+
+def _sorted_unique(*columns: np.ndarray, key_columns: Optional[int] = None) -> tuple[np.ndarray, ...]:
+    """The rows of the given int64 columns in lexicographic order, keeping
+    the first row of each run that agrees on the first key_columns columns
+    (all of them by default). Returns new arrays.
+
+    The rows are packed into one int64 key, offset by each column's minimum,
+    so one in-place sort and shifts replace a lexsort and its gathers;
+    np.lexsort takes over when the packed key would not fit in 63 bits.
+    """
+    if len(columns[0]) == 0:
+        return tuple(c.copy() for c in columns)
+    k = len(columns) if key_columns is None else key_columns
+    lows = [int(c.min()) for c in columns]
+    bits = [(int(c.max()) - lo).bit_length() for c, lo in zip(columns, lows)]
+    if sum(bits) > 63:
+        order = np.lexsort(columns[::-1])
+        cols = [c[order] for c in columns]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = np.logical_or.reduce([c[1:] != c[:-1] for c in cols[:k]])
+        return tuple(c[first] for c in cols)
+    key = np.zeros(len(columns[0]), dtype=_INT)
+    for c, lo, b in zip(columns, lows, bits):
+        key <<= b
+        key |= c - lo
+    key.sort()
+    tail_bits = sum(bits[k:])
+    head = key >> tail_bits if tail_bits else key
     first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    return sp.csr_matrix(
-        (w[first].astype(np.float64), (t[first], h[first])), shape=(n, n)
-    )
+    np.not_equal(head[1:], head[:-1], out=first[1:])
+    key = key[first]
+    out = []
+    for lo, b in zip(lows[::-1], bits[::-1]):
+        out.append((key & ((1 << b) - 1)) + lo)
+        key >>= b
+    return tuple(out[::-1])
 
 
 @dataclass(frozen=True)
@@ -183,14 +212,7 @@ class WeightedEdgeSet:
         t = _as_int_array(tails, "tails")
         h = _as_int_array(heads, "heads")
         w = _as_int_array(lengths, "lengths")
-        if len(t) == 0:
-            return cls.empty()
-        order = np.lexsort((w, h, t))
-        t, h, w = t[order], h[order], w[order]
-        dup = np.zeros(len(t), dtype=bool)
-        dup[1:] = (t[1:] == t[:-1]) & (h[1:] == h[:-1]) & (w[1:] == w[:-1])
-        keep = ~dup
-        return cls(t[keep].copy(), h[keep].copy(), w[keep].copy())
+        return cls(*_sorted_unique(t, h, w))
 
     def __len__(self) -> int:
         return len(self.tails)
@@ -223,12 +245,9 @@ class WeightedEdgeSet:
         """Keep only the lightest edge for each (tail, head) pair."""
         if len(self) == 0:
             return self
-        t, h, w = self.tails, self.heads, self.lengths
-        order = np.lexsort((w, h, t))
-        t, h, w = t[order], h[order], w[order]
-        first = np.ones(len(t), dtype=bool)
-        first[1:] = (t[1:] != t[:-1]) | (h[1:] != h[:-1])
-        return WeightedEdgeSet(t[first].copy(), h[first].copy(), w[first].copy())
+        return WeightedEdgeSet(
+            *_sorted_unique(self.tails, self.heads, self.lengths, key_columns=2)
+        )
 
     def scaled(self, factor: int) -> "WeightedEdgeSet":
         if factor == 1 or len(self) == 0:
@@ -264,13 +283,7 @@ class EdgeSet:
     def from_arrays(cls, tails, heads) -> "EdgeSet":
         t = _as_int_array(tails, "tails")
         h = _as_int_array(heads, "heads")
-        if len(t) == 0:
-            return cls.empty()
-        order = np.lexsort((h, t))
-        t, h = t[order], h[order]
-        keep = np.ones(len(t), dtype=bool)
-        keep[1:] = (t[1:] != t[:-1]) | (h[1:] != h[:-1])
-        return cls(t[keep].copy(), h[keep].copy())
+        return cls(*_sorted_unique(t, h))
 
     def __len__(self) -> int:
         return len(self.tails)
@@ -346,8 +359,9 @@ def hop_limited_dist(
     """h-restricted distances of G union extra, by h rounds of synchronous
     relaxation over all edges (self-loops skipped).
 
-    Monotone nonincreasing in h, and equal to dist_all_pairs once
-    h >= n - 1 on the union graph.
+    Edges are sorted by head once, so each round takes the minimum over
+    every head's in-edges with one reduceat. Monotone nonincreasing in h,
+    and equal to dist_all_pairs once h >= n - 1 on the union graph.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
@@ -360,17 +374,21 @@ def hop_limited_dist(
     dist = np.full((len(sources), n), INF)
     dist[np.arange(len(sources)), sources] = 0.0
     keep = gu.tails != gu.heads
-    tails, heads = gu.tails[keep], gu.heads[keep]
-    weights = gu.lengths[keep].astype(np.float64)
-    if len(tails) == 0 or n == 0:
+    if not keep.any():
         return dist
-    dist_t = np.ascontiguousarray(dist.T)  # (vertex, source) for scatter-min
+    order = np.argsort(gu.heads[keep], kind="stable")
+    tails = gu.tails[keep][order]
+    heads = gu.heads[keep][order]
+    weights = gu.lengths[keep][order].astype(np.float64)[:, None]
+    starts = np.flatnonzero(np.concatenate(([True], heads[1:] != heads[:-1])))
+    targets = heads[starts]
+    dist_t = np.ascontiguousarray(dist.T)  # (vertex, source): rows gather fast
     for _ in range(h):
-        cand = dist_t[tails] + weights[:, None]
-        before = dist_t.copy()
-        np.minimum.at(dist_t, heads, cand)
-        if np.array_equal(before, dist_t):
+        best = np.minimum.reduceat(dist_t[tails] + weights, starts, axis=0)
+        old = dist_t[targets]
+        if not (best < old).any():
             break
+        dist_t[targets] = np.minimum(old, best)
     return dist_t.T.copy()
 
 

@@ -13,7 +13,8 @@ building a subgraph.
 
 The recursion derives child randomness by splitting the parent seed with
 the child's branch label, so the two recursive branches are independent of
-evaluation order.
+evaluation order. A node holds only its seed's spawn key, and builds the
+SeedSequence when it reaches its draws: many nodes never draw.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -231,7 +232,15 @@ def low_diameter_decomposition(
     edge_idx = np.arange(g.edge_count, dtype=_INT)
     # no search reaches further than d/2
     adj = (_adjacency(g._csr, params.d // 2), _adjacency(g._csr_rev, params.d // 2))
-    removed, coarse = _decompose(g, adj, ids, edge_idx, params.d, params.c, seed_seq)
+    # the root's children get the keys seed_seq.spawn(2) would hand out
+    # (seed_seq itself is left unchanged)
+    seed = _Seed(
+        seed_seq.entropy,
+        tuple(seed_seq.spawn_key),
+        seed_seq.pool_size,
+        seed_seq.n_children_spawned,
+    )
+    removed, coarse = _decompose(g, adj, ids, edge_idx, params.d, params.c, seed)
     removed_arr = (
         np.unique(np.concatenate(removed)) if removed else np.empty(0, dtype=_INT)
     )
@@ -242,6 +251,25 @@ def low_diameter_decomposition(
     )
 
 
+class _Seed(NamedTuple):
+    """What a SeedSequence is made from: child i gets spawn key
+    spawn_key + (first_child + i,), exactly as SeedSequence.spawn numbers
+    them."""
+
+    entropy: object
+    spawn_key: tuple[int, ...]
+    pool_size: int
+    first_child: int = 0
+
+    def sequence(self) -> np.random.SeedSequence:
+        return np.random.SeedSequence(
+            self.entropy, spawn_key=self.spawn_key, pool_size=self.pool_size
+        )
+
+    def child(self, i: int) -> "_Seed":
+        return _Seed(self.entropy, self.spawn_key + (self.first_child + i,), self.pool_size)
+
+
 def _decompose(
     g: DiGraph,
     adj: tuple[_Adjacency, _Adjacency],
@@ -249,7 +277,7 @@ def _decompose(
     edge_idx: np.ndarray,
     d: int,
     c: int,
-    ss: np.random.SeedSequence,
+    seed: _Seed,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Recursive worker on the piece with sorted vertex ids ``ids``, whose
     internal edges are ``edge_idx``; adj is the (forward, reverse)
@@ -271,8 +299,7 @@ def _decompose(
     if _within_both_ways(adj, int(ids[0]), d // 2, piece, piece):
         return [], [ids]
 
-    rng = np.random.default_rng(ss)
-    child_seeds = ss.spawn(2)
+    rng = np.random.default_rng(seed.sequence())
     fwd, rev = adj
     lt = ids.searchsorted(g.tails[edge_idx])
     lh = ids.searchsorted(g.heads[edge_idx])
@@ -306,8 +333,8 @@ def _decompose(
         if 10 * size > nv and 10 * size <= 9 * nv:
             inner = edge_idx[a_mask[lt] & a_mask[lh]]
             outer = edge_idx[~a_mask[lt] & ~a_mask[lh]]
-            r1, v1 = _decompose(g, adj, ids[a_mask], inner, d, c, child_seeds[0])
-            r2, v2 = _decompose(g, adj, ids[~a_mask], outer, d, c, child_seeds[1])
+            r1, v1 = _decompose(g, adj, ids[a_mask], inner, d, c, seed.child(0))
+            r2, v2 = _decompose(g, adj, ids[~a_mask], outer, d, c, seed.child(1))
             groups = v1 + v2 if star == "in" else v2 + v1
             return [rem] + r1 + r2, groups
 
@@ -325,8 +352,8 @@ def _decompose(
     a_rest = a_out & ~a_in
     in_edges = edge_idx[a_in[lt] & a_in[lh]]
     rest_edges = edge_idx[a_rest[lt] & a_rest[lh]]
-    r1, v1 = _decompose(g, adj, ids[a_in], in_edges, d, c, child_seeds[0])
-    r2, v2 = _decompose(g, adj, ids[a_rest], rest_edges, d, c, child_seeds[1])
+    r1, v1 = _decompose(g, adj, ids[a_in], in_edges, d, c, seed.child(0))
+    r2, v2 = _decompose(g, adj, ids[a_rest], rest_edges, d, c, seed.child(1))
     groups = v1 + ([mid_ids] if len(mid_ids) else []) + v2
     return [rem_in, rem_out] + r1 + r2, groups
 

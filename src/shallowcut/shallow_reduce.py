@@ -399,7 +399,9 @@ def _run_epochs(
             len(cur), report.size_bound["bound"],
         )
     if measure and n > 0:
-        report.measured_stretch, report.measured_hopbound = _measure(g, cur, cfg.h)
+        # the last epoch's hop radius is that of g with the final hopset
+        report.measured_stretch = _measure(dist0, g, cur, cfg.h)
+        report.measured_hopbound = epoch_hop_metrics[-1]
     return report
 
 
@@ -408,10 +410,11 @@ def _hop_metric(gu: DiGraph) -> int:
 
 
 def _measure(
-    g: DiGraph, hopset: WeightedEdgeSet, h: int
-) -> tuple[Optional[Fraction], Optional[int]]:
-    stretch = max_stretch(dist_all_pairs(g), hop_limited_dist(g, hopset, h))
-    return stretch, _hop_metric(g.with_extra(hopset))
+    dist: np.ndarray, g: DiGraph, hopset: WeightedEdgeSet, h: int
+) -> Optional[Fraction]:
+    """Max stretch of the h-hop distances in g + hopset over dist, the
+    distances of g."""
+    return max_stretch(dist, hop_limited_dist(g, hopset, h))
 
 
 def compute_size_bound(

@@ -76,7 +76,7 @@ class TestFileIo:
         assert list(back.edges()) == list(g.edges())
         assert back.max_length_bound == g.max_length_bound
 
-    @pytest.mark.parametrize("size", [0, 1, 200])
+    @pytest.mark.parametrize("size", [0, 1, 200, 70_000])
     def test_writers_keep_the_per_line_format(self, tmp_path, size):
         rng = np.random.default_rng(size)
         t, h, w = (rng.integers(0, 10**6, size) for _ in range(3))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from shallowcut import (
     strong_diameter,
     weak_diameter,
 )
-from shallowcut.graphs import condensation_closure
+from shallowcut.graphs import _min_csr, condensation_closure
 
 
 @st.composite
@@ -60,6 +61,71 @@ def closure_graphs(draw, max_n=20, max_m=50):
 
 def unit_path(n):
     return DiGraph.from_edges(n, [(i, i + 1, 1) for i in range(n - 1)])
+
+
+@st.composite
+def int_columns(draw, width, max_m=60):
+    """width equal-length int64 columns drawn from a few values each (so
+    rows repeat often), near 0, 2**40 or -2**40, spread narrowly or across
+    2**40: three wide columns overflow one packed int64 key, narrow ones
+    near 2**40 still fit."""
+    m = draw(st.integers(0, max_m))
+    columns = []
+    for _ in range(width):
+        base = draw(st.sampled_from([0, 2**40 - 8, -(2**40)]))
+        spread = draw(st.sampled_from([0, 8, 2**40]))
+        pool = draw(st.lists(st.integers(base, base + spread), min_size=1, max_size=6))
+        column = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+        columns.append(np.array(column, dtype=np.int64))
+    return columns
+
+
+def lexsort_unique(columns, key_columns):
+    """Reference canonical sort: np.lexsort, then the first row of each run
+    equal on the first key_columns columns."""
+    order = np.lexsort(columns[::-1])
+    cols = [c[order] for c in columns]
+    first = np.ones(len(order), dtype=bool)
+    for c in cols[:key_columns]:
+        first[1:] &= c[1:] == c[:-1]
+    first[1:] = ~first[1:]
+    return [c[first] for c in cols]
+
+
+def assert_columns(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        assert np.array_equal(g, w)
+
+
+def coo_min_csr(n, tails, heads, lengths):
+    """Reference: the lightest edge per pair, self-loops dropped, built
+    through scipy's COO constructor."""
+    keep = tails != heads
+    t, h, w = lexsort_unique([tails[keep], heads[keep], lengths[keep]], 2)
+    return sp.csr_matrix((w.astype(np.float64), (t, h)), shape=(n, n))
+
+
+def scatter_hop_limited_dist(g, extra, h, sources=None):
+    """Reference: h synchronous rounds of np.minimum.at over every edge."""
+    gu = g.with_extra(extra)
+    n = gu.vertex_count
+    sources = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
+    dist = np.full((len(sources), n), np.inf)
+    dist[np.arange(len(sources)), sources] = 0.0
+    keep = gu.tails != gu.heads
+    tails, heads = gu.tails[keep], gu.heads[keep]
+    weights = gu.lengths[keep].astype(np.float64)
+    if len(tails) == 0 or n == 0:
+        return dist
+    dist_t = np.ascontiguousarray(dist.T)
+    for _ in range(h):
+        cand = dist_t[tails] + weights[:, None]
+        before = dist_t.copy()
+        np.minimum.at(dist_t, heads, cand)
+        if np.array_equal(before, dist_t):
+            break
+    return dist_t.T.copy()
 
 
 class TestDiGraph:
@@ -123,6 +189,74 @@ class TestEdgeSets:
         assert list(es.with_unit_lengths()) == [(0, 1, 1)]
 
 
+class TestCanonicalSort:
+    """The packed-key sort behind the edge sets and the CSR builder, checked
+    against np.lexsort on empty, duplicate-heavy and overflowing inputs."""
+
+    @given(int_columns(3))
+    @settings(max_examples=150, deadline=None)
+    def test_weighted_from_arrays(self, cols):
+        es = WeightedEdgeSet.from_arrays(*cols)
+        assert_columns((es.tails, es.heads, es.lengths), lexsort_unique(cols, 3))
+
+    @given(int_columns(3), st.integers(0, 60), st.integers(0, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_union(self, cols, cut1, cut2):
+        lo, hi = sorted((min(cut1, len(cols[0])), min(cut2, len(cols[0]))))
+        parts = [
+            WeightedEdgeSet.from_arrays(*(c[a:b] for c in cols))
+            for a, b in ((0, lo), (lo, hi), (hi, len(cols[0])))
+        ]
+        es = WeightedEdgeSet.union(*parts)
+        assert_columns((es.tails, es.heads, es.lengths), lexsort_unique(cols, 3))
+
+    @given(int_columns(3))
+    @settings(max_examples=100, deadline=None)
+    def test_min_per_pair(self, cols):
+        es = WeightedEdgeSet.from_arrays(*cols).min_per_pair()
+        assert_columns((es.tails, es.heads, es.lengths), lexsort_unique(cols, 2))
+
+    @given(int_columns(2))
+    @settings(max_examples=150, deadline=None)
+    def test_edge_set_from_arrays(self, cols):
+        es = EdgeSet.from_arrays(*cols)
+        assert_columns((es.tails, es.heads), lexsort_unique(cols, 2))
+
+    @pytest.mark.parametrize("spread,packed", [(8, True), (2**40, False)])
+    def test_both_branches_near_2_40(self, monkeypatch, spread, packed):
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        rng = np.random.default_rng(3)
+        cols = [2**40 + rng.integers(0, spread + 1, size=200) for _ in range(3)]
+        cols = [np.concatenate([c, c[:50]]) for c in cols]  # repeated rows
+        want = lexsort_unique(cols, 3)
+        calls.clear()
+        es = WeightedEdgeSet.from_arrays(*cols)
+        assert_columns((es.tails, es.heads, es.lengths), want)
+        assert len(es) == len(want[0]) <= 200
+        assert (not calls) == packed
+
+    @given(random_graphs(max_n=12, max_m=80), st.integers(0, 80))
+    @settings(max_examples=150, deadline=None)
+    @example(DiGraph.from_edges(3, [(0, 0, 2), (1, 1, 1)]), 0)
+    @example(DiGraph.from_edges(3, [(0, 1, 4), (0, 1, 2), (2, 2, 1), (1, 0, 3)]), 2)
+    def test_min_csr_matches_coo(self, g, repeat):
+        # repeat a prefix of the edges so parallel edges are common
+        t = np.concatenate([g.tails, g.tails[:repeat]])
+        h = np.concatenate([g.heads, g.heads[:repeat]])
+        w = np.concatenate([g.lengths, g.lengths[:repeat] + 1])
+        got = _min_csr(g.vertex_count, t, h, w)
+        want = coo_min_csr(g.vertex_count, t, h, w)
+        got.check_format(full_check=True)
+        assert got.has_sorted_indices == want.has_sorted_indices
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.toarray(), want.toarray())
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
+
 class TestPathWitness:
     def test_hop_count_must_match(self):
         with pytest.raises(ValueError):
@@ -176,6 +310,26 @@ class TestDistances:
         d = hop_limited_dist(g, None, 3, sources=[1])
         assert d.shape == (1, 4)
         assert d[0, 3] == 2
+
+    @given(random_graphs(max_n=20, max_m=50), st.integers(0, 6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_hop_limit_matches_scatter_reference(self, g, h, data):
+        # random_graphs gives self-loops, and vertices without in-edges
+        # whenever m is small next to n
+        n = g.vertex_count
+        extra = None
+        if data.draw(st.booleans()):
+            vertex = st.integers(0, n - 1)
+            extra = WeightedEdgeSet.from_triples(data.draw(
+                st.lists(st.tuples(vertex, vertex, st.integers(1, 9)), max_size=15)
+            ))
+        sources = None
+        if data.draw(st.booleans()):
+            sources = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+        got = hop_limited_dist(g, extra, h, sources=sources)
+        want = scatter_hop_limited_dist(g, extra, h, sources=sources)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestDiameters:

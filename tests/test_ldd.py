@@ -246,6 +246,14 @@ class TestPinnedOutputs:
         "a87efc2024eb", "0cd5998fa0e2", "b7300bd9b6e6",  # d=16
     ]
     SPAWNED = ["60fc73289850", "d05ccc3f5870", "6a9f177ca3a1"]
+    # (entropy, spawn_key, children already spawned), each on the unit path
+    # (d=64) and on a random digraph (d=16); recorded from the implementation
+    # that called seed_seq.spawn(2) in every drawing node
+    PRESPAWNED = {
+        (0, (), 1): ("fe568810e06a", "6c0196936daf"),
+        (7, (3,), 2): ("0815251eeab9", "c249d532d3cb"),
+        (11, (1, 4), 5): ("5b4d24d47b3d", "9389f4e45474"),
+    }
 
     @pytest.mark.parametrize("d", [32, 64, 128])
     def test_unit_path(self, d):
@@ -266,6 +274,17 @@ class TestPinnedOutputs:
             for t in range(3)
         ]
         assert got == self.SPAWNED
+
+    @pytest.mark.parametrize("entropy,key,spawned", list(PRESPAWNED))
+    def test_prespawned_seed_sequence(self, entropy, key, spawned):
+        # the root's children continue the numbering of the children the
+        # caller's SeedSequence has already handed out, as spawn() would
+        got = []
+        for g, d in ((unit_path(512), 64), (random_digraph(120, 360, 4, 5), 16)):
+            ss = np.random.SeedSequence(entropy, spawn_key=key)
+            ss.spawn(spawned)
+            got.append(_digest(low_diameter_decomposition(g, LddParams(d=d), seed_seq=ss)))
+        assert tuple(got) == self.PRESPAWNED[(entropy, key, spawned)]
 
     def test_criterion_one_graphs(self):
         got = []

@@ -53,4 +53,6 @@ def test_traced_runs_reach_every_layer():
         "shallow_reduce.run_phase", "ldd.decompose", "dag_reduce.reduce",
         "oracles.call", "oracles.closure", "oracles.as_hopset",
         "verify.hop_metric", "verify.measure", "verify.verify_shortcut",
+        "verify.hop_radius", "graphs.union", "graphs.min_per_pair",
+        "graphs.hop_limited_dist", "graphs.all_pairs",
     } <= {name for name, *_ in spans}
