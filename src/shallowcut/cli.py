@@ -102,6 +102,30 @@ def _load_graph(path: str) -> DiGraph:
         raise CliError(f"cannot read graph {path}: {exc}") from exc
 
 
+def _load_edges(path: str, read, n: int):
+    """The edge set that read() parses from path, with every vertex id
+    checked against the graph's n."""
+    try:
+        edges = read(path)
+    except (OSError, FormatError) as exc:
+        raise CliError(f"cannot read edge set {path}: {exc}") from exc
+    ids = np.concatenate([edges.tails, edges.heads])
+    if len(ids) and (ids.min() < 0 or ids.max() >= n):
+        raise CliError(f"edge set {path} names a vertex outside [0, {n})")
+    return edges
+
+
+def _load_decomposition(path: str) -> LddResult:
+    try:
+        data = json.loads(Path(path).read_text())
+        return LddResult(
+            tuple(int(e) for e in data["removed_edges"]),
+            tuple(tuple(int(v) for v in c) for c in data["components"]),
+        )
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"cannot read decomposition {path}: {exc!r}") from exc
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -257,18 +281,14 @@ def _cmd_reduce(args) -> int:
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     if args.kind == "hopset":
-        hopset = read_weighted_edge_set(args.edges)
+        hopset = _load_edges(args.edges, read_weighted_edge_set, g.vertex_count)
         report = verify_hopset(g, hopset, _parse_fraction(args.alpha), args.h,
                                ceiling=args.ceiling)
     elif args.kind == "shortcut":
-        shortcut = read_edge_set(args.edges)
+        shortcut = _load_edges(args.edges, read_edge_set, g.vertex_count)
         report = verify_shortcut(g, shortcut, args.h, ceiling=args.ceiling)
     elif args.kind == "ldd":
-        data = json.loads(Path(args.decomposition).read_text())
-        result = LddResult(
-            tuple(int(e) for e in data["removed_edges"]),
-            tuple(tuple(int(v) for v in c) for c in data["components"]),
-        )
+        result = _load_decomposition(args.decomposition)
         report = verify_ldd(g, args.d, result, ceiling=args.ceiling)
     else:
         report = verify_clustered(g, args.d, ceiling=args.ceiling)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .graphs import DiGraph, WeightedEdgeSet, strong_diameter
+from .graphs import DiGraph, WeightedEdgeSet
 from .oracles import OracleCall, ShallowOracle, checked_call
 
 log = logging.getLogger(__name__)
@@ -32,10 +32,10 @@ class ClusteredInput:
     components_topo: tuple[tuple[int, ...], ...]
     cluster_diameter: int
 
-    def validate(self, check_diameter: bool = False) -> None:
+    def validate(self) -> None:
         """Reject anything that is not a topologically ordered SCC partition.
 
-        The strong-diameter bound is only checked on request: it costs an
+        The strong-diameter bound is left to verify_clustered: it costs an
         all-pairs computation per component.
         """
         g = self.graph
@@ -57,10 +57,6 @@ class ClusteredInput:
             for comp in self.components_topo:
                 if len({int(labels[v]) for v in comp}) != 1:
                     raise ValueError("a component spans several SCCs")
-        if check_diameter:
-            for comp in self.components_topo:
-                if len(comp) > 1 and strong_diameter(g, comp) > self.cluster_diameter:
-                    raise ValueError("component exceeds the declared strong diameter")
 
 
 @dataclass(frozen=True)
@@ -123,8 +119,6 @@ def reduce_clustered_dag(
     h: int,
     eps: Fraction,
     seed_seq: Optional[np.random.SeedSequence] = None,
-    strict: bool = False,
-    debug: bool = False,
 ) -> tuple[WeightedEdgeSet, DagReduceTrace]:
     """Run the merge-and-call loop until a single group remains.
 
@@ -134,13 +128,11 @@ def reduce_clustered_dag(
     """
     if lam < 2:
         raise ValueError("lambda must be at least 2")
-    if strict and lam < 9:
-        raise ValueError("strict mode requires lambda >= 9")
     if lam < 9:
         log.info("lambda=%d below 9: iteration-count bound 2*log_lambda(n) not guaranteed", lam)
     if cinput.cluster_diameter > lam * h:
         raise ValueError("cluster_diameter must be at most lambda * h")
-    cinput.validate(check_diameter=debug)
+    cinput.validate()
     if seed_seq is None:
         seed_seq = np.random.SeedSequence(0)
 
@@ -161,7 +153,7 @@ def reduce_clustered_dag(
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=seed_seq.entropy, spawn_key=tuple(seed_seq.spawn_key) + (i,)
         ))
-        hopset = checked_call(oracle, call, rng, debug=debug)
+        hopset = checked_call(oracle, call, rng)
         acc = WeightedEdgeSet.union(acc, hopset)
         trace.iterations.append(
             DagIterationRecord(i, alpha0, len(groups), stripped.edge_count, len(hopset))

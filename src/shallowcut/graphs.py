@@ -9,8 +9,7 @@ are bounded by N which is polynomial in n, far below 2**53).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -305,27 +304,6 @@ class EdgeSet:
         )
 
 
-@dataclass(frozen=True)
-class PathWitness:
-    """A concrete path: its vertex sequence, total length and hop count."""
-
-    vertices: tuple[int, ...]
-    total_length: int
-    hop_count: int
-
-    def __post_init__(self):
-        if self.hop_count != len(self.vertices) - 1:
-            raise ValueError("hop_count must equal len(vertices) - 1")
-        if self.total_length < self.hop_count:
-            raise ValueError("total_length below hop_count (lengths are >= 1)")
-
-    @classmethod
-    def from_edge_lengths(cls, vertices: Sequence[int], edge_lengths: Sequence[int]) -> "PathWitness":
-        if len(edge_lengths) != len(vertices) - 1:
-            raise ValueError("need one length per hop")
-        return cls(tuple(int(v) for v in vertices), int(sum(edge_lengths)), len(edge_lengths))
-
-
 # ---------------------------------------------------------------------------
 # distance primitives
 
@@ -390,42 +368,6 @@ def hop_limited_dist(
             break
         dist_t[targets] = np.minimum(old, best)
     return dist_t.T.copy()
-
-
-def reachability_diameter(g: DiGraph, extra: Optional[WeightedEdgeSet] = None) -> int:
-    """Max distance over reachable ordered pairs u != v; 0 if none exist."""
-    dist = dist_all_pairs(g, extra)
-    if dist.size == 0:
-        return 0
-    np.fill_diagonal(dist, INF)
-    finite = dist[np.isfinite(dist)]
-    return int(finite.max()) if len(finite) else 0
-
-
-def check_approx_hopbound(
-    g: DiGraph, alpha: Fraction | int, h: int
-) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Does dist^(h)(u, v) <= alpha * dist(u, v) hold for all pairs?
-
-    Returns (True, None) or (False, worst witness pair).
-    """
-    if h < 1:
-        raise ValueError("h must be at least 1")
-    alpha = Fraction(alpha)
-    dist = dist_all_pairs(g)
-    dist_h = hop_limited_dist(g, None, h)
-    # violation: dist finite but dist_h infinite or above alpha * dist
-    finite = np.isfinite(dist)
-    bad = finite & (
-        ~np.isfinite(dist_h)
-        | (dist_h * alpha.denominator > dist * alpha.numerator)
-    )
-    if not bad.any():
-        return True, None
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(bad, dist_h / np.maximum(dist, 1), -INF)
-    u, v = np.unravel_index(np.argmax(ratio), ratio.shape)
-    return False, (int(u), int(v))
 
 
 def scc_topological(g: DiGraph) -> list[tuple[int, ...]]:
@@ -499,16 +441,6 @@ def pairs_reachable(g: DiGraph, tails: np.ndarray, heads: np.ndarray) -> np.ndar
         return np.ones(0, dtype=bool)
     labels, reach = condensation_closure(g)
     return reach[labels[tails], labels[heads]]
-
-
-def weak_diameter(g: DiGraph, s: Iterable[int]) -> float:
-    """Max pairwise distance within s, measured in the full graph."""
-    verts = np.asarray(sorted(set(int(v) for v in s)), dtype=_INT)
-    if len(verts) == 0:
-        raise ValueError("vertex set must be nonempty")
-    sub = dist_from_sources(g, verts)[:, verts]
-    m = sub.max()
-    return float(m) if not np.isfinite(m) else int(m)
 
 
 def strong_diameter(g: DiGraph, s: Iterable[int]) -> float:

@@ -19,7 +19,6 @@ SeedSequence when it reaches its draws: many nodes never draw.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -28,8 +27,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import DiGraph, induced_subgraph, scc_topological
-
-log = logging.getLogger(__name__)
 
 _INT = np.int64
 
@@ -133,22 +130,12 @@ def ball(g: DiGraph, v: int, radius: int, direction: str, within=None) -> set[in
     return _bounded_ball(adj, int(v), radius, piece)
 
 
-def sample_truncated_geometric(p: float, cap: int, rng: np.random.Generator) -> int:
-    """min(Geom(p), cap) with support starting at 1; overflow mass on cap."""
-    if not (0 < p <= 1):
-        raise ValueError("p must be in (0, 1]")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    return int(min(rng.geometric(p), cap))
-
-
 def find_balanced_set(
     g: DiGraph,
     v_prime,
     params: LddParams,
     direction: str,
     rng: np.random.Generator,
-    debug: bool = False,
 ) -> set[int]:
     """Grow balls of truncated-geometric radii around v_prime (visited in a
     seeded random order) until the union exceeds a tenth of the vertices,
@@ -156,9 +143,7 @@ def find_balanced_set(
     verts = np.asarray(sorted(set(int(v) for v in v_prime)), dtype=_INT)
     adj = _adjacency(g._csr if direction == "out" else g._csr_rev, params.d // 4)
     ids = np.arange(g.vertex_count, dtype=_INT)
-    mask = _find_balanced_local(
-        adj, ids, set(ids.tolist()), verts, params.d, params.c, rng, debug=debug
-    )
+    mask = _find_balanced_local(adj, ids, set(ids.tolist()), verts, params.d, params.c, rng)
     return {int(v) for v in np.flatnonzero(mask)}
 
 
@@ -179,7 +164,6 @@ def _find_balanced_local(
     d: int,
     c: int,
     rng: np.random.Generator,
-    debug: bool = False,
 ) -> np.ndarray:
     """FindBalancedSet on the piece with sorted vertex ids ``ids`` (and
     member set ``piece``); verts are centers as positions in ids. Returns a
@@ -196,15 +180,6 @@ def _find_balanced_local(
         radii = np.minimum(rng.geometric(_geom_p(c, d, nv), size=len(verts)), cap)
     else:
         radii = np.zeros(len(verts), dtype=_INT)
-    if debug:
-        sizes = np.array([len(_bounded_ball(adj, int(ids[v]), cap, piece)) for v in verts])
-        bad = np.flatnonzero(10 * sizes > 7 * nv)
-        if len(bad):
-            log.warning(
-                "FindBalancedSet precondition violated: %d center(s) have a "
-                "d/4-ball above 0.7|V| (first: vertex %d, size %d of %d)",
-                len(bad), int(verts[bad[0]]), int(sizes[bad[0]]), nv,
-            )
     union: set[int] = set()
     for v, r in zip(ids[verts].tolist(), radii.tolist()):
         union |= _bounded_ball(adj, v, r, piece)

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dag_reduce import ClusteredInput, DagReduceTrace, reduce_clustered_dag
+from .dag_reduce import ClusteredInput, reduce_clustered_dag
 from .graphs import DiGraph, EdgeSet, WeightedEdgeSet, dist_all_pairs, hop_limited_dist
 from .ldd import LddParams, low_diameter_decomposition
 from .oracles import OracleSizeLaw, ShallowOracle, ShortcutOracleAdapter
@@ -31,6 +31,9 @@ from .verify import VerificationReport, _hop_radius, max_stretch, verify_shortcu
 log = logging.getLogger(__name__)
 
 _INT = np.int64
+
+# largest n whose hopset runs are measured (all-pairs passes per epoch)
+_MEASURE_CEILING = 512
 
 
 @dataclass(frozen=True)
@@ -51,8 +54,6 @@ class ReductionConfig:
     seed: int = 0
     ldd_repetitions: Optional[int] = None
     strict_mode: bool = False
-    ldd_c: int = 2
-    measure_ceiling: int = 512
 
     def __post_init__(self):
         if self.lam < 2:
@@ -256,7 +257,7 @@ def run_phase(
         ldd_seed = np.random.SeedSequence(cfg.seed, spawn_key=key + (0,))
         dag_seed = np.random.SeedSequence(cfg.seed, spawn_key=key + (1,))
         result = low_diameter_decomposition(
-            scaled, LddParams(d=d, c=cfg.ldd_c, seed=cfg.seed), seed_seq=ldd_seed
+            scaled, LddParams(d=d, seed=cfg.seed), seed_seq=ldd_seed
         )
         stars = build_stars(result.components, d)
         clustered = result.remaining_graph(scaled).with_extra(stars)
@@ -321,7 +322,7 @@ def _run_epochs(
 
     Hopset mode runs one phase per dyadic length band, clamps candidate
     edges up to the true distance, and measures the hop radius after each
-    epoch and the stretch at the end (up to cfg.measure_ceiling vertices).
+    epoch and the stretch at the end (up to _MEASURE_CEILING vertices).
     Shortcut mode runs band 0 alone, where every length is 1 and there is
     nothing to clamp; it stops once the hop radius is at most h, since the
     radius only shrinks as edges accumulate and later epochs could only add
@@ -330,7 +331,7 @@ def _run_epochs(
     n = g.vertex_count
     if cfg.strict_mode:
         cfg.validate_strict(n, shortcut)
-    measure = not shortcut and n <= cfg.measure_ceiling
+    measure = not shortcut and n <= _MEASURE_CEILING
     lp = cfg.lambda_prime(n, shortcut)
     epochs = cfg.epoch_count(n, shortcut)
     phases = 1 if shortcut else cfg.phase_count(g.max_length_bound)

@@ -22,7 +22,6 @@ from .graphs import (
     EdgeSet,
     WeightedEdgeSet,
     dist_all_pairs,
-    dist_from_sources,
     hop_limited_dist,
     induced_subgraph,
     pairs_reachable,
@@ -270,12 +269,20 @@ def verify_ldd(
                     Violation("not-a-partition", (v,), "exactly one component", i),
                 )
             seen[v] = i
-    if len(seen) != g.vertex_count:
-        missing = [v for v in range(g.vertex_count) if v not in seen]
+    missing = [v for v in range(g.vertex_count) if v not in seen]
+    if missing:
         count = _collect(
             violations, count,
             Violation("not-a-partition", tuple(missing[:5]), "covered", "missing"),
         )
+    outside = [e for e in result.removed_edges if not 0 <= e < g.edge_count]
+    if outside:
+        count = _collect(
+            violations, count,
+            Violation("removed-edge-out-of-range", tuple(outside[:5]), "an edge of G", "out of range"),
+        )
+    if count:
+        # the remaining checks index by vertex and edge id
         return VerificationReport(False, violations, count)
 
     comp_of = np.empty(g.vertex_count, dtype=np.int64)

@@ -216,3 +216,25 @@ class TestCliVerify:
               "--block-size", "3", "--out", str(graph)])
         assert main(["verify", str(graph), "--kind", "clustered", "--d", "2"]) == 0
         assert main(["verify", str(graph), "--kind", "clustered", "--d", "1"]) == 1
+
+    @pytest.mark.parametrize(
+        "args, text",
+        [
+            (["--kind", "shortcut", "--edges", "missing.txt"], None),
+            (["--kind", "shortcut", "--edges", "edges.txt"], "0 9\n"),
+            (["--kind", "hopset", "--edges", "edges.txt"], "0 9 1\n"),
+            (["--kind", "ldd", "--decomposition", "missing.json"], None),
+            (["--kind", "ldd", "--decomposition", "d.json"], '{"removed_edges": [],'),
+            (["--kind", "ldd", "--decomposition", "d.json"], '{"removed_edges": []}'),
+        ],
+        ids=["missing-edges", "shortcut-vertex-9", "hopset-vertex-9",
+             "missing-decomposition", "malformed-json", "missing-key"],
+    )
+    def test_bad_input_file_exits_two(self, tmp_path, capsys, args, text):
+        graph = tmp_path / "g.txt"
+        main(["gen", "--family", "path", "--n", "4", "--out", str(graph)])
+        if text is not None:
+            (tmp_path / args[-1]).write_text(text)
+        path = str(tmp_path / args[-1])
+        assert main(["verify", str(graph), *args[:-1], path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

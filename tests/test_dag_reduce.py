@@ -10,12 +10,13 @@ from shallowcut import (
     DiGraph,
     ExactTransitiveOracle,
     GeneratorSpec,
-    check_approx_hopbound,
+    WeightedEdgeSet,
     generate,
     merge_groups,
     reduce_clustered_dag,
     scc_topological,
     strip_cross_edges,
+    verify_clustered,
     verify_hopset,
 )
 
@@ -70,7 +71,8 @@ class TestStripCrossEdges:
 class TestClusteredInput:
     def test_validate_accepts_scc_order(self):
         g = generate(GeneratorSpec("scc-chain", blocks=4, block_size=3))
-        clustered(g, 3).validate(check_diameter=True)
+        clustered(g, 3).validate()
+        assert verify_clustered(g, 3).passed
 
     def test_rejects_non_partition(self):
         g = unit_path(3)
@@ -86,14 +88,6 @@ class TestClusteredInput:
         g = DiGraph.from_edges(2, [(0, 1, 1), (1, 0, 1)])
         with pytest.raises(ValueError):
             ClusteredInput(g, ((0,), (1,)), 4).validate()
-
-    def test_rejects_oversized_diameter(self):
-        g = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
-        with pytest.raises(ValueError):
-            ClusteredInput(g, tuple(scc_topological(g)), 1).validate(
-                check_diameter=True
-            )
-
 
 class TestReduceClusteredDag:
     def test_single_component_one_call(self):
@@ -137,7 +131,7 @@ class TestReduceClusteredDag:
         hopset, trace = reduce_clustered_dag(cinput, oracle, lam, h, eps)
         gi = g.with_extra(hopset)
         alpha = (1 + eps) ** trace.oracle_calls
-        assert check_approx_hopbound(gi, alpha, h)[0]
+        assert verify_hopset(gi, WeightedEdgeSet.empty(), alpha, h).passed
 
     def test_size_recurrence_per_call(self):
         g = generate(GeneratorSpec("scc-chain", blocks=9, block_size=3))
@@ -158,13 +152,6 @@ class TestReduceClusteredDag:
             clustered(g, 3), oracle, 3, 4, Fraction(1, 2), seed_seq=seed
         )
         assert a == b
-
-    def test_strict_mode_needs_lambda_nine(self):
-        g = unit_path(4)
-        with pytest.raises(ValueError):
-            reduce_clustered_dag(
-                clustered(g, 1), ExactTransitiveOracle(4), 3, 4, Fraction(1), strict=True
-            )
 
     def test_rejects_diameter_above_lambda_h(self):
         g = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])

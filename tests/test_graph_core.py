@@ -11,17 +11,14 @@ from hypothesis import strategies as st
 from shallowcut import (
     DiGraph,
     EdgeSet,
-    PathWitness,
     WeightedEdgeSet,
-    check_approx_hopbound,
     dist_all_pairs,
     hop_limited_dist,
     pairs_reachable,
-    reachability_diameter,
     reachable_pairs,
     scc_topological,
     strong_diameter,
-    weak_diameter,
+    verify_hopset,
 )
 from shallowcut.graphs import _min_csr, condensation_closure
 
@@ -126,6 +123,12 @@ def scatter_hop_limited_dist(g, extra, h, sources=None):
         if np.array_equal(before, dist_t):
             break
     return dist_t.T.copy()
+
+
+def weak_diameter(g, s):
+    """Max pairwise distance within s, measured in all of g."""
+    verts = sorted(set(s))
+    return dist_all_pairs(g)[np.ix_(verts, verts)].max()
 
 
 class TestDiGraph:
@@ -257,17 +260,6 @@ class TestCanonicalSort:
         assert np.array_equal(got.data, want.data)
 
 
-class TestPathWitness:
-    def test_hop_count_must_match(self):
-        with pytest.raises(ValueError):
-            PathWitness((0, 1, 2), 5, 1)
-
-    def test_from_edge_lengths(self):
-        w = PathWitness.from_edge_lengths([0, 3, 5], [2, 4])
-        assert w.total_length == 6
-        assert w.hop_count == 2
-
-
 class TestDistances:
     def test_unreachable_is_inf(self):
         g = unit_path(3)
@@ -333,18 +325,6 @@ class TestDistances:
 
 
 class TestDiameters:
-    def test_reachability_diameter_path(self):
-        assert reachability_diameter(unit_path(7)) == 6
-
-    def test_reachability_diameter_no_pairs(self):
-        g = DiGraph.from_edges(3, [])
-        assert reachability_diameter(g) == 0
-
-    @given(random_graphs(max_n=25, max_m=60))
-    @settings(max_examples=40, deadline=None)
-    def test_diameter_bounded_by_longest_possible_path(self, g):
-        assert reachability_diameter(g) <= (g.vertex_count - 1) * g.max_length_bound
-
     def test_weak_vs_strong(self):
         # 0 <-> 1 directly, plus a shortcut through 2 outside the set
         g = DiGraph.from_edges(3, [(0, 2, 1), (2, 1, 1), (1, 0, 1), (0, 1, 5)])
@@ -362,20 +342,25 @@ class TestDiameters:
 
 
 class TestApproxHopbound:
+    """dist^(h)(u, v) <= alpha * dist(u, v) for all pairs: verify_hopset
+    with an empty hopset is the approximate-hopbound check of a graph."""
+
     def test_exact_on_short_path(self):
-        ok, witness = check_approx_hopbound(unit_path(5), 1, 4)
-        assert ok and witness is None
+        report = verify_hopset(unit_path(5), WeightedEdgeSet.empty(), 1, 4)
+        assert report.passed and report.violations == []
 
     def test_fails_below_needed_hops(self):
-        ok, witness = check_approx_hopbound(unit_path(5), 1, 3)
-        assert not ok
-        assert witness == (0, 4)
+        report = verify_hopset(unit_path(5), WeightedEdgeSet.empty(), 1, 3)
+        assert not report.passed
+        assert [(v.kind, v.witness) for v in report.violations] == [
+            ("stretch-exceeded", (0, 4))
+        ]
 
     def test_fractional_alpha(self):
         # 0->1->2 of length 2, plus a 1-hop length-3 alternative
         g = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 3)])
-        assert check_approx_hopbound(g, Fraction(3, 2), 1)[0]
-        assert not check_approx_hopbound(g, Fraction(4, 3), 1)[0]
+        assert verify_hopset(g, WeightedEdgeSet.empty(), Fraction(3, 2), 1).passed
+        assert not verify_hopset(g, WeightedEdgeSet.empty(), Fraction(4, 3), 1).passed
 
 
 class TestSccTopological:

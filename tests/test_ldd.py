@@ -18,7 +18,6 @@ from shallowcut import (
     find_balanced_set,
     induced_subgraph,
     low_diameter_decomposition,
-    sample_truncated_geometric,
     verify_ldd,
 )
 
@@ -77,32 +76,6 @@ class TestBall:
             assert ball(g, v, radius, direction, within=piece) == {
                 int(orig[u]) for u in np.flatnonzero(row <= radius)
             }
-
-
-class TestTruncatedGeometric:
-    def test_p_one_always_one(self):
-        rng = np.random.default_rng(0)
-        assert all(sample_truncated_geometric(1.0, 10, rng) == 1 for _ in range(50))
-
-    def test_cap_one_always_one(self):
-        rng = np.random.default_rng(0)
-        assert all(sample_truncated_geometric(0.1, 1, rng) == 1 for _ in range(50))
-
-    def test_pmf_matches_analytic(self):
-        rng = np.random.default_rng(42)
-        draws = np.array(
-            [sample_truncated_geometric(0.5, 4, rng) for _ in range(100_000)]
-        )
-        freq = np.bincount(draws, minlength=5)[1:] / len(draws)
-        # overflow mass folds onto the cap: (.5, .25, .125, .125)
-        assert np.allclose(freq, [0.5, 0.25, 0.125, 0.125], atol=0.01)
-
-    def test_rejects_bad_arguments(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_truncated_geometric(0.0, 4, rng)
-        with pytest.raises(ValueError):
-            sample_truncated_geometric(0.5, 0, rng)
 
 
 class TestFindBalancedSet:

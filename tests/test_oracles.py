@@ -10,14 +10,19 @@ from shallowcut import (
     EdgeSet,
     ExactReachabilityOracle,
     ExactTransitiveOracle,
+    GeneratorSpec,
     HubSamplingOracle,
     OracleCall,
     OracleSizeLaw,
+    ReductionConfig,
     ShallowOracle,
     ShortcutOracleAdapter,
     SizeLawViolation,
     WeightedEdgeSet,
     checked_call,
+    generate,
+    reduce_hopset,
+    reduce_shortcut,
     shortcut_as_hopset,
     verify_hopset,
 )
@@ -128,3 +133,47 @@ class TestShortcutAsHopset:
     def test_rejects_unreachable_pair(self):
         with pytest.raises(ValueError):
             shortcut_as_hopset(EdgeSet.from_pairs([(2, 0)]), unit_path(3))
+
+
+class CallRecorder:
+    """Hands every call on to the wrapped oracle and keeps it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.size_law = inner.size_law
+        self.calls = []
+
+    def build(self, call, rng=None):
+        self.calls.append(call)
+        return self.inner.build(call, rng)
+
+    def build_shortcut(self, call, rng=None):
+        self.calls.append(call)
+        return self.inner.build_shortcut(call, rng)
+
+
+class TestOracleCallPromise:
+    """The pipeline's promise to the oracle: every graph it passes is
+    alpha0-approximately within lambda*h hops."""
+
+    @pytest.mark.parametrize("mode, make_oracle", [
+        ("hopset", lambda: ExactTransitiveOracle(48)),
+        ("hopset", lambda: HubSamplingOracle(48, 0.25)),
+        ("shortcut", lambda: ExactReachabilityOracle(96)),
+    ], ids=["hopset-exact", "hopset-hub", "shortcut-exact"])
+    def test_every_call_is_shallow(self, mode, make_oracle):
+        recorder = CallRecorder(make_oracle())
+        cfg = ReductionConfig(lam=4, h=4, eps=Fraction(1, 2), ldd_repetitions=1)
+        if mode == "hopset":
+            g = generate(GeneratorSpec("random-gnm", n=48, m=144, big_n=8, seed=0))
+            reduce_hopset(g, cfg, recorder)
+        else:
+            reduce_shortcut(generate(GeneratorSpec("path", n=96)), cfg, recorder)
+        assert recorder.calls
+        misses = [
+            i for i, call in enumerate(recorder.calls)
+            if not verify_hopset(
+                call.graph, WeightedEdgeSet.empty(), call.alpha0, call.lambda_h
+            ).passed
+        ]
+        assert misses == []

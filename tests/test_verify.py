@@ -122,6 +122,21 @@ class TestVerifyLdd:
         report = verify_ldd(g, 2, LddResult((), ((0,), (1,))))
         assert not report.passed
 
+    def test_out_of_range_vertex_fails_partition(self):
+        g = unit_path(4)
+        # four distinct ids with one outside V, and all of V plus one more
+        for comps in (((0, 1, 2, 9),), ((0, 1, 2, 3, 9),)):
+            report = verify_ldd(g, 4, LddResult((), comps))
+            assert not report.passed
+            assert (9,) in [v.witness for v in report.violations if v.kind == "not-a-partition"]
+
+    def test_out_of_range_removed_edge_fails(self):
+        g = unit_path(4)
+        for removed in ((7,), (-1,)):
+            report = verify_ldd(g, 4, LddResult(removed, ((0, 1, 2, 3),)))
+            assert not report.passed
+            assert [v.kind for v in report.violations] == ["removed-edge-out-of-range"]
+
     def test_oversized_component_fails_weak_diameter(self):
         g = unit_cycle(8)
         result = LddResult((), ((0, 1, 2, 3, 4, 5, 6, 7),))
