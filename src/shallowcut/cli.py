@@ -2,7 +2,9 @@
 
 Subcommands: gen, ldd, dag-reduce, reduce, verify. Exit codes:
 0 success, 1 verification failure, 2 usage error (argparse's own
-convention for bad flags is preserved).
+convention for bad flags is preserved), which includes asking `ldd` or
+`verify` to check a graph with more vertices than `--ceiling`. `reduce`
+skips its verification on such a graph, as it does under `--no-verify`.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .ldd import LddParams, LddResult, estimate_removal_probability, low_diamete
 from .oracles import ExactReachabilityOracle, ExactTransitiveOracle, HubSamplingOracle
 from .shallow_reduce import ReductionConfig, reduce_hopset, reduce_shortcut
 from .verify import (
+    SizeCeilingError,
     verify_clustered,
     verify_distance_preservation,
     verify_hopset,
@@ -225,12 +228,12 @@ def _cmd_reduce(args) -> int:
         strict_mode=args.strict,
     )
     out = _out_dir(args)
+    verify = not args.no_verify and g.vertex_count <= args.ceiling
     stage_seconds: dict[str, float] = {}
     t0 = time.perf_counter()
     if args.mode == "shortcut":
         oracle = ExactReachabilityOracle(g.vertex_count)
-        report = reduce_shortcut(g, cfg, oracle, verify=not args.no_verify,
-                                 ceiling=args.ceiling)
+        report = reduce_shortcut(g, cfg, oracle, verify=verify, ceiling=args.ceiling)
         stage_seconds["reduce"] = time.perf_counter() - t0
         edges_path = out / "shortcut.txt"
         write_edge_set(report.shortcut, edges_path)
@@ -238,7 +241,7 @@ def _cmd_reduce(args) -> int:
         oracle = _make_oracle(args.oracle, g.vertex_count, args.hub_rate)
         report = reduce_hopset(g, cfg, oracle)
         stage_seconds["reduce"] = time.perf_counter() - t0
-        if not args.no_verify and g.vertex_count <= args.ceiling:
+        if verify:
             t1 = time.perf_counter()
             report.verification = verify_distance_preservation(
                 g, report.hopset, ceiling=args.ceiling
@@ -269,13 +272,16 @@ def _cmd_reduce(args) -> int:
     (out / "manifest.json").write_text(
         json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n"
     )
-    passed = report.verification.passed if report.verification else True
+    if report.verification is None:
+        verified = "skipped"
+    else:
+        verified = "yes" if report.verification.passed else "NO"
     print(
         f"mode={args.mode} size={report.total_size} oracle_calls={report.oracle_calls} "
-        f"clamps={report.clamp_count} verified={'yes' if passed else 'NO'}"
+        f"clamps={report.clamp_count} verified={verified}"
     )
     _emit(args, report.to_json())
-    return EXIT_OK if passed else EXIT_VERIFY
+    return EXIT_VERIFY if verified == "NO" else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
@@ -385,7 +391,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error("--decomposition is required for ldd verification")
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, SizeCeilingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

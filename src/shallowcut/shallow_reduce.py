@@ -236,15 +236,13 @@ def run_phase(
     plan: PhasePlan,
     cfg: ReductionConfig,
     oracle: ShallowOracle,
-    base_n: Optional[int] = None,
 ) -> tuple[WeightedEdgeSet, PhaseTrace]:
     """One phase: repeat (LDD -> stars -> clustered reduction -> scale up)
     and union the samples. Edges come back in original-length units.
 
     sigma = 1 means the band's scale factor is at most 1 (or shortcut
     mode's single band), so the phase runs on g_prev's own lengths."""
-    n = g_prev.vertex_count
-    reps = cfg.repetitions(base_n if base_n is not None else n)
+    reps = cfg.repetitions(g_prev.vertex_count)
     d = (cfg.lam * cfg.h) // 2
     trace = PhaseTrace(plan.epoch_index, plan.phase_index, plan.sigma)
     if plan.sigma == 1:
@@ -350,7 +348,7 @@ def _run_epochs(
         phase_traces = []
         for j in range(phases):
             plan = PhasePlan(i, j, 1 if shortcut else phase_sigma(j, cfg.eps))
-            out, tr = run_phase(g_cur, plan, cfg, oracle, base_n=n)
+            out, tr = run_phase(g_cur, plan, cfg, oracle)
             if dist0 is not None and len(out):
                 true = dist0[out.tails, out.heads]
                 if not np.isfinite(true).all():

@@ -78,7 +78,6 @@ class _RecordingOracle:
     def __init__(self, inner):
         self.inner = inner
         self.size_law = inner.size_law
-        self.stretch_factor = inner.stretch_factor
         self.calls: list[tuple[int, int]] = []
 
     def build(self, call, rng=None):

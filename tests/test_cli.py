@@ -135,6 +135,13 @@ class TestCliLdd:
         out = capsys.readouterr().out
         assert "components=" in out and "removed=" in out and "max_weak_diam=" in out
 
+    def test_graph_above_ceiling_exits_two(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        main(["gen", "--family", "path", "--n", "4", "--out", str(graph)])
+        capsys.readouterr()
+        assert main(["ldd", str(graph), "--d", "4", "--ceiling", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestCliReduce:
     def test_shortcut_mode_end_to_end(self, tmp_path):
@@ -176,6 +183,19 @@ class TestCliReduce:
         assert report["clamp_count"] == 0
         assert report["verification"]["passed"] is True
 
+    @pytest.mark.parametrize("mode, flag", [
+        ("shortcut", "--ceiling=2"), ("hopset", "--ceiling=2"), ("hopset", "--no-verify"),
+    ])
+    def test_unverified_run_says_skipped(self, tmp_path, capsys, mode, flag):
+        graph = tmp_path / "g.txt"
+        main(["gen", "--family", "path", "--n", "4", "--out", str(graph)])
+        run = tmp_path / "run"
+        assert main(["reduce", str(graph), "--mode", mode, "--lambda", "2", "--h", "2",
+                     flag, "--out-dir", str(run)]) == 0
+        assert "verified=skipped" in capsys.readouterr().out
+        assert (run / f"{mode}.txt").exists()
+        assert json.loads((run / "report.json").read_text())["verification"] is None
+
     def test_missing_graph_exits_two(self, tmp_path):
         assert main(["reduce", str(tmp_path / "none.txt"), "--mode", "shortcut",
                      "--lambda", "8", "--h", "8"]) == 2
@@ -209,6 +229,14 @@ class TestCliVerify:
         code = main(["verify", str(graph), "--kind", "shortcut",
                      "--edges", str(run_dir / "shortcut.txt"), "--h", "8"])
         assert code == 0
+
+    def test_graph_above_ceiling_exits_two(self, tmp_path, capsys):
+        graph, edges = tmp_path / "g.txt", tmp_path / "s.txt"
+        main(["gen", "--family", "path", "--n", "4", "--out", str(graph)])
+        edges.write_text("0 2\n")
+        assert main(["verify", str(graph), "--kind", "shortcut", "--edges", str(edges),
+                     "--h", "2", "--ceiling", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_clustered_kind(self, tmp_path):
         graph = tmp_path / "g.txt"
