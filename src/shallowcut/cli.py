@@ -2,9 +2,12 @@
 
 Subcommands: gen, ldd, dag-reduce, reduce, verify. Exit codes:
 0 success, 1 verification failure, 2 usage error (argparse's own
-convention for bad flags is preserved), which includes asking `ldd` or
-`verify` to check a graph with more vertices than `--ceiling`. `reduce`
-skips its verification on such a graph, as it does under `--no-verify`.
+convention for bad flags is preserved). Usage errors include flag values
+the library rejects, a weighted graph where unit lengths are required,
+and asking `ldd` or `verify` to check a graph with more vertices than
+`--ceiling`. `reduce` constructs, then verifies what it built in either
+mode with the verifiers of `verify.py`; it skips that check on a graph
+above `--ceiling`, as it does under `--no-verify`.
 """
 
 from __future__ import annotations
@@ -98,6 +101,20 @@ def _parse_fraction(text: str) -> Fraction:
         raise CliError(f"not a rational number: {text!r}") from exc
 
 
+def _from_flags(make, *args, **kwargs):
+    """make(*args, **kwargs), with the ValueError that a bad flag value
+    raises there reported as a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
+def _require_unit_lengths(g: DiGraph) -> None:
+    if g.edge_count and g.lengths.max() != 1:
+        raise CliError("shortcuts are defined on graphs with unit edge lengths")
+
+
 def _load_graph(path: str) -> DiGraph:
     try:
         return read_graph(path)
@@ -138,9 +155,7 @@ def _out_dir(args) -> Path:
 def _make_oracle(name: str, n: int, hub_rate: float):
     if name == "exact":
         return ExactTransitiveOracle(n)
-    if name == "hub":
-        return HubSamplingOracle(n, hub_rate)
-    raise CliError(f"unknown oracle {name!r}")
+    return _from_flags(HubSamplingOracle, n, hub_rate)
 
 
 def _emit(args, payload: dict) -> None:
@@ -153,7 +168,8 @@ def _emit(args, payload: dict) -> None:
 
 
 def _cmd_gen(args) -> int:
-    spec = GeneratorSpec(
+    spec = _from_flags(
+        GeneratorSpec,
         family=args.family,
         n=args.n,
         m=args.m,
@@ -164,10 +180,7 @@ def _cmd_gen(args) -> int:
         block_size=args.block_size,
         paths=args.paths,
     )
-    try:
-        g = generate(spec)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    g = _from_flags(generate, spec)
     out = Path(args.out) if args.out else _out_dir(args) / f"{args.family}.txt"
     write_graph(g, out)
     print(f"wrote {out} (n={g.vertex_count} m={g.edge_count} N={g.max_length_bound})")
@@ -177,7 +190,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_ldd(args) -> int:
     g = _load_graph(args.graph)
-    params = LddParams(d=args.d, c=args.c, seed=args.seed)
+    params = _from_flags(LddParams, d=args.d, c=args.c, seed=args.seed)
+    if args.trials < 0:
+        raise CliError("--trials must be nonnegative")
     result = low_diameter_decomposition(g, params)
     report = verify_ldd(g, args.d, result, ceiling=args.ceiling)
     payload = {
@@ -200,13 +215,15 @@ def _cmd_ldd(args) -> int:
 
 def _cmd_dag_reduce(args) -> int:
     g = _load_graph(args.graph)
+    cfg = _from_flags(
+        ReductionConfig, lam=args.lam, h=args.h, eps=_parse_fraction(args.eps), seed=args.seed
+    )
     comps = tuple(scc_topological(g))
-    cinput = ClusteredInput(g, comps, args.lam * args.h)
+    cinput = ClusteredInput(g, comps, cfg.lam * cfg.h)
     oracle = _make_oracle(args.oracle, g.vertex_count, args.hub_rate)
-    eps = _parse_fraction(args.eps)
     hopset, trace = reduce_clustered_dag(
-        cinput, oracle, args.lam, args.h, eps,
-        seed_seq=np.random.SeedSequence(args.seed),
+        cinput, oracle, cfg.lam, cfg.h, cfg.eps,
+        seed_seq=np.random.SeedSequence(cfg.seed),
     )
     out = _out_dir(args) / "dag-hopset.txt"
     write_weighted_edge_set(hopset, out)
@@ -218,35 +235,41 @@ def _cmd_dag_reduce(args) -> int:
 def _cmd_reduce(args) -> int:
     graph_path = Path(args.graph)
     g = _load_graph(args.graph)
-    cfg = ReductionConfig(
+    cfg = _from_flags(
+        ReductionConfig,
         lam=args.lam,
         h=args.h,
         eps=_parse_fraction(args.eps),
-        c0=_parse_fraction(args.c0),
         seed=args.seed,
         ldd_repetitions=args.reps,
-        strict_mode=args.strict,
     )
+    shortcut = args.mode == "shortcut"
+    if shortcut:
+        if args.oracle != "exact":
+            raise CliError("shortcut mode has only the exact reachability oracle")
+        _require_unit_lengths(g)
+        oracle = ExactReachabilityOracle(g.vertex_count)
+    else:
+        oracle = _make_oracle(args.oracle, g.vertex_count, args.hub_rate)
     out = _out_dir(args)
     verify = not args.no_verify and g.vertex_count <= args.ceiling
     stage_seconds: dict[str, float] = {}
     t0 = time.perf_counter()
-    if args.mode == "shortcut":
-        oracle = ExactReachabilityOracle(g.vertex_count)
-        report = reduce_shortcut(g, cfg, oracle, verify=verify, ceiling=args.ceiling)
-        stage_seconds["reduce"] = time.perf_counter() - t0
-        edges_path = out / "shortcut.txt"
-        write_edge_set(report.shortcut, edges_path)
-    else:
-        oracle = _make_oracle(args.oracle, g.vertex_count, args.hub_rate)
-        report = reduce_hopset(g, cfg, oracle)
-        stage_seconds["reduce"] = time.perf_counter() - t0
-        if verify:
-            t1 = time.perf_counter()
+    report = (reduce_shortcut if shortcut else reduce_hopset)(g, cfg, oracle)
+    stage_seconds["reduce"] = time.perf_counter() - t0
+    if verify:
+        t1 = time.perf_counter()
+        if shortcut:
+            report.verification = verify_shortcut(g, report.shortcut, cfg.h, ceiling=args.ceiling)
+        else:
             report.verification = verify_distance_preservation(
                 g, report.hopset, ceiling=args.ceiling
             )
-            stage_seconds["verify"] = time.perf_counter() - t1
+        stage_seconds["verify"] = time.perf_counter() - t1
+    if shortcut:
+        edges_path = out / "shortcut.txt"
+        write_edge_set(report.shortcut, edges_path)
+    else:
         edges_path = out / "hopset.txt"
         write_weighted_edge_set(report.hopset, edges_path)
     report_path = out / "report.json"
@@ -257,10 +280,8 @@ def _cmd_reduce(args) -> int:
             "lambda": cfg.lam,
             "h": cfg.h,
             "eps": str(cfg.eps),
-            "c0": str(cfg.c0),
             "seed": cfg.seed,
             "reps": cfg.ldd_repetitions,
-            "strict": cfg.strict_mode,
             "oracle": args.oracle,
         },
         input_path=str(graph_path),
@@ -286,11 +307,14 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
+    if args.kind in ("hopset", "shortcut") and args.h < 0:
+        raise CliError("--h must be nonnegative")
     if args.kind == "hopset":
         hopset = _load_edges(args.edges, read_weighted_edge_set, g.vertex_count)
         report = verify_hopset(g, hopset, _parse_fraction(args.alpha), args.h,
                                ceiling=args.ceiling)
     elif args.kind == "shortcut":
+        _require_unit_lengths(g)
         shortcut = _load_edges(args.edges, read_edge_set, g.vertex_count)
         report = verify_shortcut(g, shortcut, args.h, ceiling=args.ceiling)
     elif args.kind == "ldd":
@@ -359,9 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--mode", choices=("hopset", "shortcut"), default="hopset")
     _add_reduce_config(p)
-    p.add_argument("--c0", default="1")
     p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--strict", action="store_true")
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--ceiling", type=int, default=2000)
     _add_common(p)

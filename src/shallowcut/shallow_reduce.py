@@ -26,7 +26,7 @@ from .dag_reduce import ClusteredInput, reduce_clustered_dag
 from .graphs import DiGraph, EdgeSet, WeightedEdgeSet, dist_all_pairs, hop_limited_dist
 from .ldd import LddParams, low_diameter_decomposition
 from .oracles import OracleSizeLaw, ShallowOracle, ShortcutOracleAdapter
-from .verify import VerificationReport, _hop_radius, max_stretch, verify_shortcut
+from .verify import VerificationReport, _hop_radius, max_stretch
 
 log = logging.getLogger(__name__)
 
@@ -38,22 +38,14 @@ _MEASURE_CEILING = 512
 
 @dataclass(frozen=True)
 class ReductionConfig:
-    """Fixed scalars of one reduction run plus desk-scale overrides.
-
-    Strict mode enforces the theoretical constraint
-    lambda > c0 * log^3(n) * (1/eps^2 + 1); desk-scale mode (the default)
-    only clamps the derived epoch base lambda' to at least 2 and records
-    the clamp. A shortcut has no stretch to trade against hops, so with
-    shortcut=True the formulas leave eps out.
-    """
+    """The scalars of one reduction run. A shortcut has no stretch to trade
+    against hops, so with shortcut=True the formulas leave eps out."""
 
     lam: int
     h: int
     eps: Fraction = Fraction(1)
-    c0: Fraction = Fraction(1)
     seed: int = 0
     ldd_repetitions: Optional[int] = None
-    strict_mode: bool = False
 
     def __post_init__(self):
         if self.lam < 2:
@@ -62,30 +54,21 @@ class ReductionConfig:
             raise ValueError("h must be at least 1")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.c0 <= 0:
-            raise ValueError("c0 must be positive")
-        if self.lam * self.h < 2:
-            raise ValueError("lambda * h must be at least 2")
-
-    def validate_strict(self, n: int, shortcut: bool = False) -> None:
-        stretch_term = 0 if shortcut else 1 / float(self.eps) ** 2
-        bound = float(self.c0) * math.log2(max(n, 2)) ** 3 * (stretch_term + 1)
-        if not self.lam > bound:
-            raise ValueError(
-                f"strict mode requires lambda > c0*log^3(n)*(1/eps^2+1) = {bound:.1f}, "
-                f"got lambda = {self.lam}"
-            )
+        if self.ldd_repetitions is not None and self.ldd_repetitions < 1:
+            raise ValueError("ldd_repetitions must be at least 1")
 
     def lambda_prime_unclamped(self, n: int, shortcut: bool = False) -> float:
-        """lambda / (sqrt(c0) * log2(n)^2), times eps when eps <= 1."""
+        """lambda / log2(n)^2, times eps when eps <= 1."""
         log2n = math.log2(max(n, 2))
-        raw = float(self.lam) / (math.sqrt(float(self.c0)) * log2n * log2n)
+        raw = float(self.lam) / (log2n * log2n)
         if not shortcut and self.eps <= 1:
             raw *= float(self.eps)
         return raw
 
     def lambda_prime(self, n: int, shortcut: bool = False) -> float:
-        """The epoch base: the unclamped formula, at least 2."""
+        """The epoch base: the unclamped formula, at least 2. The paper
+        assumes lambda > log^3(n) * (1/eps^2 + 1), which keeps it above 2;
+        desk-scale lambdas do not, hence the clamp, which the report records."""
         return max(self.lambda_prime_unclamped(n, shortcut), 2.0)
 
     def epoch_count(self, n: int, shortcut: bool = False) -> int:
@@ -115,28 +98,22 @@ def phase_sigma(j: int, eps: Fraction) -> int:
     return max(1, -(-value.numerator // value.denominator))
 
 
-def scaled_length(length: int, j: int, eps: Fraction) -> int:
-    """Band-j scaled-down length: ceil(length * min(1, 1/(eps * 2^j)))."""
-    if length < 1:
+def scaled_length(length, j: int, eps: Fraction):
+    """Band-j scaled-down length: ceil(length * min(1, 1/(eps * 2^j))), of
+    one length or elementwise over an array of lengths."""
+    if np.any(np.asarray(length) < 1):
         raise ValueError("length must be positive")
     if j < 0:
         raise ValueError("j must be nonnegative")
     factor = Fraction(eps) * (1 << j)
     if factor <= 1:
         return length
-    return -(-(length * factor.denominator) // factor.numerator)
-
-
-def _scaled_length_array(lengths: np.ndarray, j: int, eps: Fraction) -> np.ndarray:
-    factor = Fraction(eps) * (1 << j)
-    if factor <= 1:
-        return lengths
     num, den = factor.numerator, factor.denominator
-    return (lengths * den + num - 1) // num
+    return (length * den + num - 1) // num
 
 
 def scale_down_graph(g: DiGraph, j: int, eps: Fraction) -> DiGraph:
-    lengths = np.asarray(_scaled_length_array(g.lengths, j, eps), dtype=_INT)
+    lengths = np.asarray(scaled_length(g.lengths, j, eps), dtype=_INT)
     bound = int(lengths.max()) if len(lengths) else 1
     return DiGraph(g.vertex_count, g.tails, g.heads, lengths.copy(), max(bound, 1))
 
@@ -190,10 +167,7 @@ class PhaseTrace:
 @dataclass
 class ReductionReport:
     hopset: WeightedEdgeSet
-    total_size: int
     epoch_traces: list[list[PhaseTrace]]
-    oracle_calls: int
-    ldd_calls: int
     clamp_count: int
     lambda_prime: float
     lambda_prime_clamped: bool
@@ -206,6 +180,18 @@ class ReductionReport:
     epoch_hop_metrics: list[int] = field(default_factory=list)
     shortcut: Optional[EdgeSet] = None
     verification: Optional[VerificationReport] = None
+
+    @property
+    def total_size(self) -> int:
+        return len(self.hopset)
+
+    @property
+    def oracle_calls(self) -> int:
+        return sum(tr.oracle_calls for epoch in self.epoch_traces for tr in epoch)
+
+    @property
+    def ldd_calls(self) -> int:
+        return sum(len(tr.repetitions) for epoch in self.epoch_traces for tr in epoch)
 
     def to_json(self) -> dict:
         return {
@@ -255,7 +241,7 @@ def run_phase(
         ldd_seed = np.random.SeedSequence(cfg.seed, spawn_key=key + (0,))
         dag_seed = np.random.SeedSequence(cfg.seed, spawn_key=key + (1,))
         result = low_diameter_decomposition(
-            scaled, LddParams(d=d, seed=cfg.seed), seed_seq=ldd_seed
+            scaled, LddParams(d=d), seed_seq=ldd_seed
         )
         stars = build_stars(result.components, d)
         clustered = result.remaining_graph(scaled).with_extra(stars)
@@ -290,17 +276,11 @@ def reduce_hopset(g: DiGraph, cfg: ReductionConfig, oracle: ShallowOracle) -> Re
     return _run_epochs(g, cfg, oracle, shortcut=False)
 
 
-def reduce_shortcut(
-    g: DiGraph,
-    cfg: ReductionConfig,
-    shortcut_oracle,
-    verify: bool = True,
-    ceiling: int = 2000,
-) -> ReductionReport:
+def reduce_shortcut(g: DiGraph, cfg: ReductionConfig, shortcut_oracle) -> ReductionReport:
     """Reachability-only pipeline: one unscaled phase per epoch, stopping once
-    the hop radius is at most h; the weights are stripped at the end, and
-    the result is checked as a shortcut of hopbound h. The oracle implements
-    build_shortcut."""
+    the hop radius is at most h; the weights are stripped at the end into
+    report.shortcut. The oracle implements build_shortcut. The result is
+    not checked here: verify_shortcut does that for the caller."""
     if g.edge_count and g.lengths.max() != 1:
         raise ValueError("shortcut mode expects unit edge lengths")
     report = _run_epochs(g, cfg, ShortcutOracleAdapter(shortcut_oracle), shortcut=True)
@@ -308,8 +288,6 @@ def reduce_shortcut(
     report.shortcut = EdgeSet.from_arrays(
         report.hopset.tails[keep], report.hopset.heads[keep]
     )
-    if verify:
-        report.verification = verify_shortcut(g, report.shortcut, cfg.h, ceiling=ceiling)
     return report
 
 
@@ -327,8 +305,6 @@ def _run_epochs(
     size.
     """
     n = g.vertex_count
-    if cfg.strict_mode:
-        cfg.validate_strict(n, shortcut)
     measure = not shortcut and n <= _MEASURE_CEILING
     lp = cfg.lambda_prime(n, shortcut)
     epochs = cfg.epoch_count(n, shortcut)
@@ -339,8 +315,6 @@ def _run_epochs(
     cur = WeightedEdgeSet.empty()
     g_cur = g
     clamp_count = 0
-    oracle_calls = 0
-    ldd_calls = 0
     epoch_traces: list[list[PhaseTrace]] = []
     epoch_hop_metrics: list[int] = []
     for i in range(1, epochs + 1):
@@ -364,8 +338,6 @@ def _run_epochs(
                     out = WeightedEdgeSet.from_arrays(out.tails, out.heads, fixed)
             phase_outputs.append(out)
             phase_traces.append(tr)
-            oracle_calls += tr.oracle_calls
-            ldd_calls += len(tr.repetitions)
         epoch_traces.append(phase_traces)
         cur = WeightedEdgeSet.union(cur, *phase_outputs).min_per_pair()
         g_cur = g.with_extra(cur)
@@ -377,10 +349,7 @@ def _run_epochs(
 
     report = ReductionReport(
         hopset=cur,
-        total_size=len(cur),
         epoch_traces=epoch_traces,
-        oracle_calls=oracle_calls,
-        ldd_calls=ldd_calls,
         clamp_count=clamp_count,
         lambda_prime=lp,
         lambda_prime_clamped=cfg.lambda_prime_unclamped(n, shortcut) < 2.0,
@@ -427,7 +396,7 @@ def compute_size_bound(
     """Evaluate the solved size recurrences with explicit constants.
 
     Soft ceiling only: callers warn when measured sizes exceed it. The
-    small-a branch applies when a < 1 / (c0 * log_lambda(n)^2).
+    small-a branch applies when a < 1 / log_lambda(n)^2.
     """
     log2n = math.log2(max(n, 2))
     log_lam_n = max(1.0, log2n / math.log2(cfg.lam))
@@ -435,7 +404,7 @@ def compute_size_bound(
     epochs = cfg.epoch_count(n, shortcut)
     dag_iters = max(1.0, 2.0 * log_lam_n)
     a, b = float(law.a), float(law.b)
-    small_a = a < 1.0 / (float(cfg.c0) * log_lam_n * log_lam_n)
+    small_a = a < 1.0 / (log_lam_n * log_lam_n)
     lp = cfg.lambda_prime(n, shortcut)
     log_lp_n = max(1.0, log2n / math.log2(lp))
     if small_a:

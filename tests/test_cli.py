@@ -156,6 +156,7 @@ class TestCliReduce:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["config"]["mode"] == "shortcut"
         assert len(manifest["input_sha256"]) == 64
+        assert set(manifest["stage_seconds"]) == {"reduce", "verify"}
 
     def test_repeated_runs_write_identical_artifact_and_report(self, tmp_path):
         graph = tmp_path / "g.txt"
@@ -199,6 +200,60 @@ class TestCliReduce:
     def test_missing_graph_exits_two(self, tmp_path):
         assert main(["reduce", str(tmp_path / "none.txt"), "--mode", "shortcut",
                      "--lambda", "8", "--h", "8"]) == 2
+
+    def test_shortcut_mode_rejects_the_hub_oracle(self, tmp_path, capsys):
+        # shortcut mode has no hub oracle; running the exact one instead
+        # would record an oracle that did not run
+        graph = tmp_path / "g.txt"
+        main(["gen", "--family", "path", "--n", "8", "--out", str(graph)])
+        capsys.readouterr()
+        run = tmp_path / "run"
+        assert main(["reduce", str(graph), "--mode", "shortcut", "--oracle", "hub",
+                     "--lambda", "4", "--h", "4", "--out-dir", str(run)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (run / "manifest.json").exists()
+
+
+REDUCE = ["reduce", "{unit}", "--lambda", "4", "--h", "4", "--reps", "1"]
+
+
+class TestCliBadValues:
+    """Flag values the library rejects are usage errors (exit 2), not
+    crashes or verification failures (exit 1)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "path", "--n", "4", "--N", "0"],
+        REDUCE + ["--lambda", "1"],
+        REDUCE + ["--h", "0"],
+        REDUCE + ["--eps", "0"],
+        REDUCE + ["--reps", "0"],
+        REDUCE + ["--reps", "-1"],
+        REDUCE + ["--oracle", "hub", "--hub-rate", "2"],
+        ["reduce", "{weighted}", "--mode", "shortcut", "--lambda", "4", "--h", "4"],
+        ["ldd", "{unit}", "--d", "0"],
+        ["ldd", "{unit}", "--d", "4", "--c", "0"],
+        ["ldd", "{unit}", "--d", "4", "--trials", "-1"],
+        ["dag-reduce", "{unit}", "--lambda", "1", "--h", "4"],
+        ["verify", "{unit}", "--kind", "hopset", "--edges", "{hopset}", "--h", "-1"],
+        ["verify", "{weighted}", "--kind", "shortcut", "--edges", "{shortcut}"],
+    ], ids=[
+        "gen-N-0", "reduce-lambda-1", "reduce-h-0", "reduce-eps-0", "reduce-reps-0",
+        "reduce-reps-minus-1", "reduce-hub-rate-2", "reduce-shortcut-weighted", "ldd-d-0",
+        "ldd-c-0", "ldd-trials-minus-1", "dag-reduce-lambda-1", "verify-hopset-h-minus-1",
+        "verify-shortcut-weighted",
+    ])
+    def test_exits_two(self, tmp_path, capsys, argv):
+        files = {name: str(tmp_path / f"{name}.txt")
+                 for name in ("unit", "weighted", "hopset", "shortcut")}
+        main(["gen", "--family", "path", "--n", "8", "--out", files["unit"]])
+        main(["gen", "--family", "random-gnm", "--n", "8", "--m", "16", "--N", "4",
+              "--out", files["weighted"]])
+        (tmp_path / "hopset.txt").write_text("0 2 2\n")
+        (tmp_path / "shortcut.txt").write_text("0 2\n")
+        capsys.readouterr()
+        argv = [arg.format(**files) for arg in argv]
+        assert main(argv + ["--out-dir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCliVerify:

@@ -6,6 +6,7 @@ import importlib.util
 from pathlib import Path
 
 import shallowcut.cli  # noqa: F401  (install expects every module loaded)
+import shallowcut.verify
 from shallowcut import (
     ExactReachabilityOracle,
     ExactTransitiveOracle,
@@ -43,7 +44,9 @@ def test_traced_runs_reach_every_layer():
     try:
         path = generate(GeneratorSpec("path", n=24))
         cfg = ReductionConfig(lam=4, h=4, ldd_repetitions=1)
-        shallow_reduce.reduce_shortcut(path, cfg, ExactReachabilityOracle(24))
+        report = shallow_reduce.reduce_shortcut(path, cfg, ExactReachabilityOracle(24))
+        # through the module attribute, which install rebinds
+        shallowcut.verify.verify_shortcut(path, report.shortcut, cfg.h)
         shallow_reduce.reduce_hopset(path, cfg, ExactTransitiveOracle(24))
     finally:
         uninstall()
