@@ -309,10 +309,14 @@ def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     if args.kind in ("hopset", "shortcut") and args.h < 0:
         raise CliError("--h must be nonnegative")
+    if args.kind in ("ldd", "clustered") and args.d < 0:
+        raise CliError("--d must be nonnegative")
     if args.kind == "hopset":
+        alpha = _parse_fraction(args.alpha)
+        if alpha < 1:
+            raise CliError("--alpha must be at least 1")
         hopset = _load_edges(args.edges, read_weighted_edge_set, g.vertex_count)
-        report = verify_hopset(g, hopset, _parse_fraction(args.alpha), args.h,
-                               ceiling=args.ceiling)
+        report = verify_hopset(g, hopset, alpha, args.h, ceiling=args.ceiling)
     elif args.kind == "shortcut":
         _require_unit_lengths(g)
         shortcut = _load_edges(args.edges, read_edge_set, g.vertex_count)

@@ -422,17 +422,21 @@ def condensation_closure(g: DiGraph) -> tuple[np.ndarray, np.ndarray]:
     condensation: u reaches v exactly when reach[labels[u], labels[v]].
 
     reach is z x z for z components, so it stays small when the vertex
-    closure itself is dense.
+    closure itself is dense. The rows are ORed in reverse topological order
+    as np.packbits rows, an eighth of the bytes of bool rows, and unpacked
+    once at the end.
     """
     if g.vertex_count == 0:
         return np.empty(0, dtype=_INT), np.zeros((0, 0), dtype=bool)
     z, labels = connected_components(g._csr, connection="strong", directed=True)
     ptr, succ = _condensation_succs(labels, z, g.tails, g.heads)
-    reach = np.eye(z, dtype=bool)
+    comps = np.arange(z)
+    packed = np.zeros((z, (z + 7) // 8), dtype=np.uint8)
+    packed[comps, comps >> 3] = 0x80 >> (comps & 7)  # the diagonal, big-endian bits
     for c in reversed(_topo_order_of_components(ptr, succ)):
         if ptr[c + 1] > ptr[c]:
-            reach[c] |= reach[succ[ptr[c] : ptr[c + 1]]].any(axis=0)
-    return labels, reach
+            packed[c] |= np.bitwise_or.reduce(packed[succ[ptr[c] : ptr[c + 1]]], axis=0)
+    return labels, np.unpackbits(packed, axis=1, count=z).view(bool)
 
 
 def pairs_reachable(g: DiGraph, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:

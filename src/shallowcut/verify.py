@@ -21,7 +21,9 @@ from .graphs import (
     DiGraph,
     EdgeSet,
     WeightedEdgeSet,
+    condensation_closure,
     dist_all_pairs,
+    dist_from_sources,
     hop_limited_dist,
     induced_subgraph,
     pairs_reachable,
@@ -32,6 +34,8 @@ from .ldd import LddResult
 
 DEFAULT_CEILING = 2000
 _MAX_RECORDED = 100
+# distances per chunk of _hop_radius's searches (8 MB of float64)
+_CELLS = 1 << 20
 
 
 class SizeCeilingError(ValueError):
@@ -189,21 +193,34 @@ def verify_distance_preservation(
 
 
 def _hop_radius(g: DiGraph, extra: Optional[WeightedEdgeSet]) -> int:
-    """Max hop count needed to connect any reachable pair in G union extra."""
+    """Max hop count needed to connect any reachable pair u != v in
+    G union extra (0 when no vertex reaches another).
+
+    The condensation closure of the unit-length union graph counts the
+    vertices each source reaches. A source with an edge to each of them
+    needs one hop, so unit-length searches run only from the other
+    sources, in chunks of at most _CELLS distances: no n x n distance
+    matrix is held.
+    """
     gu = g.with_extra(extra)
-    if gu.vertex_count == 0:
+    n = gu.vertex_count
+    if n == 0:
         return 0
-    unit = DiGraph(
-        gu.vertex_count,
-        gu.tails,
-        gu.heads,
-        np.ones(gu.edge_count, dtype=np.int64),
-        1,
+    unit = DiGraph(n, gu.tails, gu.heads, np.ones(gu.edge_count, dtype=np.int64), 1)
+    labels, reach = condensation_closure(unit)
+    sizes = np.bincount(labels)
+    rows = max(1, _CELLS // len(reach))
+    per_comp = np.concatenate(
+        [reach[i : i + rows] @ sizes for i in range(0, len(reach), rows)]
     )
-    hops = dist_all_pairs(unit)
-    np.fill_diagonal(hops, np.inf)
-    finite = hops[np.isfinite(hops)]
-    return int(finite.max()) if len(finite) else 0
+    reached = per_comp[labels] - 1  # every vertex reaches itself
+    open_sources = np.flatnonzero(np.diff(unit._csr.indptr) < reached)
+    radius = int(reached.max() > 0)
+    rows = max(1, _CELLS // n)
+    for i in range(0, len(open_sources), rows):
+        hops = dist_from_sources(unit, open_sources[i : i + rows])
+        radius = max(radius, int(hops[np.isfinite(hops)].max()))
+    return radius
 
 
 def verify_shortcut(

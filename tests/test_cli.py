@@ -11,6 +11,7 @@ from shallowcut import (
     GeneratorSpec,
     WeightedEdgeSet,
     dist_all_pairs,
+    fileio,
     generate,
     scc_topological,
 )
@@ -96,6 +97,20 @@ class TestFileIo:
         assert (tmp_path / "s.txt").read_text() == "".join(
             f"{a} {b}\n" for a, b in shortcut
         )
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_lines_match_str_format_across_chunks(self, tmp_path, monkeypatch, width):
+        monkeypatch.setattr(fileio, "_CHUNK", 3)
+        values = [0, 9, 10, 99, 100, 10**18 - 1, 10**18, -1, -10,
+                  np.iinfo(np.int64).min, np.iinfo(np.int64).max]
+        rng = np.random.default_rng(width)
+        columns = [rng.permutation(np.array(values * 3, dtype=np.int64))
+                   for _ in range(width)]
+        fmt = " ".join(["{}"] * width) + "\n"
+        path = tmp_path / "x.txt"
+        fileio._write_lines(path, "header\n", *columns)
+        expected = "header\n" + "".join(map(fmt.format, *(c.tolist() for c in columns)))
+        assert path.read_bytes() == expected.encode("ascii")
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -236,20 +251,29 @@ class TestCliBadValues:
         ["dag-reduce", "{unit}", "--lambda", "1", "--h", "4"],
         ["verify", "{unit}", "--kind", "hopset", "--edges", "{hopset}", "--h", "-1"],
         ["verify", "{weighted}", "--kind", "shortcut", "--edges", "{shortcut}"],
+        ["verify", "{unit}", "--kind", "hopset", "--edges", "{hopset}", "--alpha", "1/2"],
+        ["verify", "{unit}", "--kind", "ldd", "--decomposition", "{decomposition}",
+         "--d", "-1"],
+        ["verify", "{unit}", "--kind", "clustered", "--d", "-1"],
     ], ids=[
         "gen-N-0", "reduce-lambda-1", "reduce-h-0", "reduce-eps-0", "reduce-reps-0",
         "reduce-reps-minus-1", "reduce-hub-rate-2", "reduce-shortcut-weighted", "ldd-d-0",
         "ldd-c-0", "ldd-trials-minus-1", "dag-reduce-lambda-1", "verify-hopset-h-minus-1",
-        "verify-shortcut-weighted",
+        "verify-shortcut-weighted", "verify-hopset-alpha-half", "verify-ldd-d-minus-1",
+        "verify-clustered-d-minus-1",
     ])
     def test_exits_two(self, tmp_path, capsys, argv):
         files = {name: str(tmp_path / f"{name}.txt")
                  for name in ("unit", "weighted", "hopset", "shortcut")}
+        files["decomposition"] = str(tmp_path / "decomposition.json")
         main(["gen", "--family", "path", "--n", "8", "--out", files["unit"]])
         main(["gen", "--family", "random-gnm", "--n", "8", "--m", "16", "--N", "4",
               "--out", files["weighted"]])
         (tmp_path / "hopset.txt").write_text("0 2 2\n")
         (tmp_path / "shortcut.txt").write_text("0 2\n")
+        (tmp_path / "decomposition.json").write_text(
+            json.dumps({"removed_edges": [], "components": [[v] for v in range(8)]})
+        )
         capsys.readouterr()
         argv = [arg.format(**files) for arg in argv]
         assert main(argv + ["--out-dir", str(tmp_path / "run")]) == 2

@@ -1,8 +1,12 @@
 """The verifiers must catch planted violations and accept honest inputs."""
 
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shallowcut import (
     DiGraph,
@@ -14,12 +18,14 @@ from shallowcut import (
     SizeCeilingError,
     WeightedEdgeSet,
     low_diameter_decomposition,
+    verify,
     verify_clustered,
     verify_distance_preservation,
     verify_hopset,
     verify_ldd,
     verify_shortcut,
 )
+from shallowcut.graphs import dist_all_pairs, dist_from_sources
 
 
 def unit_path(n):
@@ -28,6 +34,82 @@ def unit_path(n):
 
 def unit_cycle(n):
     return DiGraph.from_edges(n, [(i, (i + 1) % n, 1) for i in range(n)])
+
+
+def reference_hop_radius(g, extra):
+    """The all-pairs formula: unit-length distances of G union extra, the
+    diagonal excluded, the largest finite one (0 when there is none)."""
+    gu = g.with_extra(extra)
+    if gu.vertex_count == 0:
+        return 0
+    unit = DiGraph(gu.vertex_count, gu.tails, gu.heads, np.ones(gu.edge_count, dtype=np.int64), 1)
+    hops = dist_all_pairs(unit)
+    np.fill_diagonal(hops, np.inf)
+    finite = hops[np.isfinite(hops)]
+    return int(finite.max()) if len(finite) else 0
+
+
+@st.composite
+def graphs_with_extra(draw, max_n=16, max_m=40):
+    """Weighted graphs with self-loops, parallel edges and (unless drawn
+    forward-only) multi-vertex SCCs, plus a weighted extra edge set or None."""
+    n = draw(st.integers(0, max_n))
+    forward_only = draw(st.booleans())
+
+    def edges(count):
+        out = []
+        for _ in range(count):
+            t, h = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            if forward_only:
+                t, h = min(t, h), max(t, h)
+            out.append((t, h, draw(st.integers(1, 5))))
+        return out
+
+    if n == 0:
+        return DiGraph.from_edges(0, [], max_length_bound=5), None
+    base = edges(draw(st.integers(0, max_m)))
+    base += base[: draw(st.integers(0, len(base)))]
+    g = DiGraph.from_edges(n, base, max_length_bound=5)
+    extra = edges(draw(st.integers(0, max_m)))
+    if not extra and draw(st.booleans()):
+        return g, None
+    return g, WeightedEdgeSet.from_triples(extra)
+
+
+class TestHopRadius:
+    @given(graphs_with_extra(), st.sampled_from([1, 5, 1 << 20]))
+    @example((DiGraph.from_edges(1, []), None), 1 << 20)
+    @example((DiGraph.from_edges(1, [(0, 0, 1), (0, 0, 1)]), None), 1 << 20)
+    @example((unit_cycle(5), WeightedEdgeSet.from_triples([(0, 2, 3)])), 5)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_all_pairs_reference(self, case, cells):
+        g, extra = case
+        with mock.patch.object(verify, "_CELLS", cells):
+            assert verify._hop_radius(g, extra) == reference_hop_radius(g, extra)
+
+    def test_open_sources_span_several_chunks(self, monkeypatch):
+        chunks = []
+
+        def recording(graph, sources, **kwargs):
+            chunks.append(len(sources))
+            return dist_from_sources(graph, sources, **kwargs)
+
+        monkeypatch.setattr(verify, "_CELLS", 36)
+        monkeypatch.setattr(verify, "dist_from_sources", recording)
+        g = unit_path(12)
+        assert verify._hop_radius(g, None) == 11
+        # sources 0..9 reach a vertex that is not an out-neighbour
+        assert chunks == [3, 3, 3, 1]
+
+    def test_full_closure_searches_no_source(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no source should be searched")
+
+        monkeypatch.setattr(verify, "dist_from_sources", refuse)
+        closure = WeightedEdgeSet.from_triples(
+            [(i, j, 1) for i in range(8) for j in range(i + 1, 8)]
+        )
+        assert verify._hop_radius(unit_path(8), closure) == 1
 
 
 class TestVerifyHopset:
