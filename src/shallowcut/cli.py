@@ -343,7 +343,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_reduce_config(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
-    p.add_argument("--eps", default="1")
+    p.add_argument("--eps", default="1", help="stretch parameter; no effect in shortcut mode")
     p.add_argument("--oracle", choices=("exact", "hub"), default="exact")
     p.add_argument("--hub-rate", type=float, default=0.25)
 

@@ -1,8 +1,9 @@
 """Plain-text interchange formats.
 
 Graph file: first line ``n m N``, then m lines ``tail head length``
-(0-based decimal ids, LF-terminated). Edge-set files are ``tail head
-length`` lines (hopsets) or ``tail head`` lines (shortcuts).
+(0-based decimal ids, LF-terminated); only blank lines may follow them.
+Edge-set files are ``tail head length`` lines (hopsets, every length at
+least 1) or ``tail head`` lines (shortcuts).
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ def read_graph(path: str | Path) -> DiGraph:
     for i in range(m):
         t, h, w = _parse_ints(lines[1 + i], 3, 2 + i)
         edges.append((t, h, w))
+    for i in range(m + 1, len(lines)):
+        if lines[i].strip():
+            raise FormatError(f"line {i + 1}: text after the {m} edges the header promises")
     try:
         return DiGraph.from_edges(n, edges, max_length_bound=big_n)
     except ValueError as exc:
@@ -105,6 +109,8 @@ def read_weighted_edge_set(path: str | Path) -> WeightedEdgeSet:
     for i, line in enumerate(Path(path).read_text().splitlines()):
         if line.strip():
             t, h, w = _parse_ints(line, 3, i + 1)
+            if w < 1:
+                raise FormatError(f"line {i + 1}: length {w} is below 1")
             triples.append((t, h, w))
     return WeightedEdgeSet.from_triples(triples)
 

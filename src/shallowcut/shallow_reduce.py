@@ -7,16 +7,16 @@ of every piece with star edges, runs the clustered-DAG reduction, and
 scales the resulting edges back up. Repetitions with fresh randomness are
 unioned so that every fixed path is handled well by some sample.
 
-A shortcut is the case with a single length scale: shortcut mode runs the
-same epoch loop with one phase per epoch, band 0 with sigma = 1 on the
-unscaled working graph, and no eps anywhere.
+A shortcut is the case with a single length scale. reduce_shortcut runs
+the same epoch loop on the input with length bound 1 and eps = 1, so the
+formulas give one phase per epoch, band 0 with sigma = 1 on the unscaled
+working graph, and a lambda' with no eps factor.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -25,10 +25,8 @@ import numpy as np
 from .dag_reduce import ClusteredInput, reduce_clustered_dag
 from .graphs import DiGraph, EdgeSet, WeightedEdgeSet, dist_all_pairs, hop_limited_dist
 from .ldd import LddParams, low_diameter_decomposition
-from .oracles import OracleSizeLaw, ShallowOracle, ShortcutOracleAdapter
+from .oracles import ShallowOracle, ShortcutOracleAdapter
 from .verify import VerificationReport, _hop_radius, max_stretch
-
-log = logging.getLogger(__name__)
 
 _INT = np.int64
 
@@ -38,8 +36,7 @@ _MEASURE_CEILING = 512
 
 @dataclass(frozen=True)
 class ReductionConfig:
-    """The scalars of one reduction run. A shortcut has no stretch to trade
-    against hops, so with shortcut=True the formulas leave eps out."""
+    """The scalars of one reduction run."""
 
     lam: int
     h: int
@@ -57,24 +54,24 @@ class ReductionConfig:
         if self.ldd_repetitions is not None and self.ldd_repetitions < 1:
             raise ValueError("ldd_repetitions must be at least 1")
 
-    def lambda_prime_unclamped(self, n: int, shortcut: bool = False) -> float:
+    def lambda_prime_unclamped(self, n: int) -> float:
         """lambda / log2(n)^2, times eps when eps <= 1."""
         log2n = math.log2(max(n, 2))
         raw = float(self.lam) / (log2n * log2n)
-        if not shortcut and self.eps <= 1:
+        if self.eps <= 1:
             raw *= float(self.eps)
         return raw
 
-    def lambda_prime(self, n: int, shortcut: bool = False) -> float:
+    def lambda_prime(self, n: int) -> float:
         """The epoch base: the unclamped formula, at least 2. The paper
         assumes lambda > log^3(n) * (1/eps^2 + 1), which keeps it above 2;
         desk-scale lambdas do not, hence the clamp, which the report records."""
-        return max(self.lambda_prime_unclamped(n, shortcut), 2.0)
+        return max(self.lambda_prime_unclamped(n), 2.0)
 
-    def epoch_count(self, n: int, shortcut: bool = False) -> int:
+    def epoch_count(self, n: int) -> int:
         if n < 2:
             return 1
-        return math.ceil(math.log(n) / math.log(self.lambda_prime(n, shortcut))) + 1
+        return math.ceil(math.log(n) / math.log(self.lambda_prime(n))) + 1
 
     def phase_count(self, max_length: int) -> int:
         return max(0, math.ceil(math.log2(max(max_length, 1)))) + 1
@@ -174,7 +171,6 @@ class ReductionReport:
     epoch_count: int
     phase_count: int
     repetitions: int
-    size_bound: Optional[dict] = None
     measured_stretch: Optional[Fraction] = None
     measured_hopbound: Optional[int] = None
     epoch_hop_metrics: list[int] = field(default_factory=list)
@@ -204,7 +200,6 @@ class ReductionReport:
             "epoch_count": self.epoch_count,
             "phase_count": self.phase_count,
             "repetitions": self.repetitions,
-            "size_bound": self.size_bound,
             "measured_stretch": None
             if self.measured_stretch is None
             else str(self.measured_stretch),
@@ -226,8 +221,8 @@ def run_phase(
     """One phase: repeat (LDD -> stars -> clustered reduction -> scale up)
     and union the samples. Edges come back in original-length units.
 
-    sigma = 1 means the band's scale factor is at most 1 (or shortcut
-    mode's single band), so the phase runs on g_prev's own lengths."""
+    sigma = 1 means the band's scale factor is at most 1, so the phase
+    runs on g_prev's own lengths."""
     reps = cfg.repetitions(g_prev.vertex_count)
     d = (cfg.lam * cfg.h) // 2
     trace = PhaseTrace(plan.epoch_index, plan.phase_index, plan.sigma)
@@ -277,13 +272,23 @@ def reduce_hopset(g: DiGraph, cfg: ReductionConfig, oracle: ShallowOracle) -> Re
 
 
 def reduce_shortcut(g: DiGraph, cfg: ReductionConfig, shortcut_oracle) -> ReductionReport:
-    """Reachability-only pipeline: one unscaled phase per epoch, stopping once
-    the hop radius is at most h; the weights are stripped at the end into
-    report.shortcut. The oracle implements build_shortcut. The result is
-    not checked here: verify_shortcut does that for the caller."""
+    """Reachability-only pipeline, stopping once the hop radius is at most
+    h; the weights are stripped at the end into report.shortcut. The oracle
+    implements build_shortcut. The result is not checked here:
+    verify_shortcut does that for the caller.
+
+    A shortcut has one length scale and no stretch to trade against hops,
+    so the epoch loop runs on g with length bound 1 and with eps = 1
+    whatever cfg.eps is: one unscaled phase per epoch, and a lambda' with
+    no eps factor.
+    """
     if g.edge_count and g.lengths.max() != 1:
         raise ValueError("shortcut mode expects unit edge lengths")
-    report = _run_epochs(g, cfg, ShortcutOracleAdapter(shortcut_oracle), shortcut=True)
+    unit = DiGraph(g.vertex_count, g.tails, g.heads, g.lengths, 1)
+    report = _run_epochs(
+        unit, replace(cfg, eps=Fraction(1)), ShortcutOracleAdapter(shortcut_oracle),
+        shortcut=True,
+    )
     keep = report.hopset.tails != report.hopset.heads
     report.shortcut = EdgeSet.from_arrays(
         report.hopset.tails[keep], report.hopset.heads[keep]
@@ -296,19 +301,18 @@ def _run_epochs(
 ) -> ReductionReport:
     """The epoch loop of both modes.
 
-    Hopset mode runs one phase per dyadic length band, clamps candidate
-    edges up to the true distance, and measures the hop radius after each
-    epoch and the stretch at the end (up to _MEASURE_CEILING vertices).
-    Shortcut mode runs band 0 alone, where every length is 1 and there is
-    nothing to clamp; it stops once the hop radius is at most h, since the
-    radius only shrinks as edges accumulate and later epochs could only add
-    size.
+    Each epoch runs one phase per dyadic length band. Hopset mode clamps
+    candidate edges up to the true distance, and measures the hop radius
+    after each epoch and the stretch at the end (up to _MEASURE_CEILING
+    vertices). Shortcut mode has unit lengths and nothing to clamp; it
+    stops once the hop radius is at most h, since the radius only shrinks
+    as edges accumulate and later epochs could only add size.
     """
     n = g.vertex_count
     measure = not shortcut and n <= _MEASURE_CEILING
-    lp = cfg.lambda_prime(n, shortcut)
-    epochs = cfg.epoch_count(n, shortcut)
-    phases = 1 if shortcut else cfg.phase_count(g.max_length_bound)
+    lp = cfg.lambda_prime(n)
+    epochs = cfg.epoch_count(n)
+    phases = cfg.phase_count(g.max_length_bound)
     reps = cfg.repetitions(n)
     dist0 = dist_all_pairs(g) if not shortcut and n > 0 else None
 
@@ -321,7 +325,7 @@ def _run_epochs(
         phase_outputs = []
         phase_traces = []
         for j in range(phases):
-            plan = PhasePlan(i, j, 1 if shortcut else phase_sigma(j, cfg.eps))
+            plan = PhasePlan(i, j, phase_sigma(j, cfg.eps))
             out, tr = run_phase(g_cur, plan, cfg, oracle)
             if dist0 is not None and len(out):
                 true = dist0[out.tails, out.heads]
@@ -352,20 +356,12 @@ def _run_epochs(
         epoch_traces=epoch_traces,
         clamp_count=clamp_count,
         lambda_prime=lp,
-        lambda_prime_clamped=cfg.lambda_prime_unclamped(n, shortcut) < 2.0,
+        lambda_prime_clamped=cfg.lambda_prime_unclamped(n) < 2.0,
         epoch_count=epochs,
         phase_count=phases,
         repetitions=reps,
         epoch_hop_metrics=epoch_hop_metrics,
     )
-    report.size_bound = compute_size_bound(
-        cfg, g.edge_count, oracle.size_law, n, g.max_length_bound, shortcut
-    )
-    if len(cur) > report.size_bound["bound"]:
-        log.warning(
-            "hopset size %d exceeds the solved-recurrence ceiling %d",
-            len(cur), report.size_bound["bound"],
-        )
     if measure and n > 0:
         # the last epoch's hop radius is that of g with the final hopset
         report.measured_stretch = _measure(dist0, g, cur, cfg.h)
@@ -383,48 +379,3 @@ def _measure(
     """Max stretch of the h-hop distances in g + hopset over dist, the
     distances of g."""
     return max_stretch(dist, hop_limited_dist(g, hopset, h))
-
-
-def compute_size_bound(
-    cfg: ReductionConfig,
-    m: int,
-    law: OracleSizeLaw,
-    n: int,
-    max_length: int,
-    shortcut: bool = False,
-) -> dict:
-    """Evaluate the solved size recurrences with explicit constants.
-
-    Soft ceiling only: callers warn when measured sizes exceed it. The
-    small-a branch applies when a < 1 / log_lambda(n)^2.
-    """
-    log2n = math.log2(max(n, 2))
-    log_lam_n = max(1.0, log2n / math.log2(cfg.lam))
-    log_big_n = max(1.0, math.log2(max(max_length, 2)))
-    epochs = cfg.epoch_count(n, shortcut)
-    dag_iters = max(1.0, 2.0 * log_lam_n)
-    a, b = float(law.a), float(law.b)
-    small_a = a < 1.0 / (log_lam_n * log_lam_n)
-    lp = cfg.lambda_prime(n, shortcut)
-    log_lp_n = max(1.0, log2n / math.log2(lp))
-    if small_a:
-        branch = "small-a"
-        bound = (
-            max(1.0, math.log2(max(n, 2)))
-            * log_big_n
-            * log_lam_n
-            * log_lp_n
-            * (a * m + b + 1)
-        )
-    else:
-        branch = "general"
-        per_epoch = log_big_n * log2n * (1 + a) ** dag_iters
-        bound = (1 + per_epoch) ** epochs * (m + b * log_lam_n + 1)
-    return {
-        "branch": branch,
-        "bound": int(math.ceil(bound)),
-        "a": a,
-        "b": b,
-        "epochs": epochs,
-        "dag_iterations_bound": dag_iters,
-    }

@@ -212,6 +212,17 @@ class TestCliReduce:
         assert (run / f"{mode}.txt").exists()
         assert json.loads((run / "report.json").read_text())["verification"] is None
 
+    @pytest.mark.parametrize("after, code", [("1 2 1\nfoo bar\n", 2), ("\n  \n", 0)],
+                             ids=["edge-and-text", "blank"])
+    def test_lines_after_the_promised_edges(self, tmp_path, capsys, after, code):
+        # the header promises one edge: a line after it that is not blank
+        # is not silently dropped
+        graph = tmp_path / "g.txt"
+        graph.write_text("3 1 1\n0 1 1\n" + after)
+        assert main(["reduce", str(graph), "--lambda", "2", "--h", "2",
+                     "--out-dir", str(tmp_path / "run")]) == code
+        assert capsys.readouterr().err.startswith("error: ") == (code == 2)
+
     def test_missing_graph_exits_two(self, tmp_path):
         assert main(["reduce", str(tmp_path / "none.txt"), "--mode", "shortcut",
                      "--lambda", "8", "--h", "8"]) == 2
@@ -330,12 +341,15 @@ class TestCliVerify:
             (["--kind", "shortcut", "--edges", "missing.txt"], None),
             (["--kind", "shortcut", "--edges", "edges.txt"], "0 9\n"),
             (["--kind", "hopset", "--edges", "edges.txt"], "0 9 1\n"),
+            (["--kind", "hopset", "--edges", "edges.txt"], "0 2 0\n"),
+            (["--kind", "hopset", "--edges", "edges.txt"], "0 2 -3\n"),
             (["--kind", "ldd", "--decomposition", "missing.json"], None),
             (["--kind", "ldd", "--decomposition", "d.json"], '{"removed_edges": [],'),
             (["--kind", "ldd", "--decomposition", "d.json"], '{"removed_edges": []}'),
         ],
-        ids=["missing-edges", "shortcut-vertex-9", "hopset-vertex-9",
-             "missing-decomposition", "malformed-json", "missing-key"],
+        ids=["missing-edges", "shortcut-vertex-9", "hopset-vertex-9", "hopset-length-0",
+             "hopset-length-minus-3", "missing-decomposition", "malformed-json",
+             "missing-key"],
     )
     def test_bad_input_file_exits_two(self, tmp_path, capsys, args, text):
         graph = tmp_path / "g.txt"

@@ -14,11 +14,9 @@ from shallowcut import (
     ExactReachabilityOracle,
     ExactTransitiveOracle,
     GeneratorSpec,
-    OracleSizeLaw,
     PhasePlan,
     ReductionConfig,
     build_stars,
-    compute_size_bound,
     dist_all_pairs,
     generate,
     phase_sigma,
@@ -112,7 +110,6 @@ class TestReductionConfig:
         big = ReductionConfig(lam=4096, h=4, eps=Fraction(8))
         assert small.lambda_prime(16) == pytest.approx(4096 / 32)
         assert big.lambda_prime(16) == pytest.approx(4096 / 16)
-        assert small.lambda_prime(16, shortcut=True) == pytest.approx(4096 / 16)
 
     def test_epoch_count(self):
         cfg = ReductionConfig(lam=8, h=8)
@@ -233,17 +230,26 @@ class TestReduceShortcut:
 
     @pytest.mark.parametrize("family", ["path", "disjoint-paths"])
     def test_shortcut_does_not_depend_on_eps(self, family):
-        # Reachability has no stretch to trade against hops, so eps must
-        # not reach the shortcut.
+        # Reachability has one length scale and no stretch to trade against
+        # hops, so neither eps nor the graph's length bound may reach the
+        # shortcut or its report.
         g = generate(GeneratorSpec(family, n=96, paths=4))
-        shortcuts = [
+        reports = [
             reduce_shortcut(
-                g, ReductionConfig(lam=8, h=8, eps=eps, ldd_repetitions=2),
+                DiGraph(g.vertex_count, g.tails, g.heads, g.lengths, bound),
+                ReductionConfig(lam=8, h=8, eps=eps, ldd_repetitions=2),
                 ExactReachabilityOracle(96),
-            ).shortcut
+            )
+            for bound in (1, 8)
             for eps in (Fraction(1, 4), Fraction(1), Fraction(3))
         ]
-        assert shortcuts[0] == shortcuts[1] == shortcuts[2]
+        assert all(r.shortcut == reports[0].shortcut for r in reports)
+        assert all(r.to_json() == reports[0].to_json() for r in reports)
+
+    def test_lambda_prime_has_no_eps_factor(self):
+        cfg = ReductionConfig(lam=4096, h=4, eps=Fraction(1, 2))
+        report = reduce_shortcut(unit_path(16), cfg, ExactReachabilityOracle(16))
+        assert report.lambda_prime == 256  # 4096 / log2(16)^2, not halved
 
 
 def _edge_digest(es):
@@ -284,7 +290,7 @@ class TestPinnedHopsets:
     two LDD repetitions, seeds 0-1. Any change to the epoch loop, the
     clamp, the per-epoch measurement or the report's fields moves them."""
 
-    PINNED = {0: ("d4d49cbf7b6b", "430b775efcfe"), 1: ("3bc8de5c69c7", "4c88b55ee366")}
+    PINNED = {0: ("d4d49cbf7b6b", "83b035e1919c"), 1: ("3bc8de5c69c7", "caa31cebc991")}
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_gnm(self, seed):
@@ -295,26 +301,3 @@ class TestPinnedHopsets:
         got = (_edge_digest(report.hopset), hashlib.sha256(text).hexdigest()[:12])
         assert got == self.PINNED[seed]
 
-
-class TestSizeBound:
-    def test_zero_a_uses_small_branch(self):
-        cfg = ReductionConfig(lam=8, h=8)
-        law = OracleSizeLaw(Fraction(0), Fraction(512 * 512))
-        info = compute_size_bound(cfg, 511, law, 512, 1)
-        assert info["branch"] == "small-a"
-        assert info["bound"] > 0
-
-    def test_large_a_uses_general_branch(self):
-        cfg = ReductionConfig(lam=8, h=8)
-        law = OracleSizeLaw(Fraction(2), Fraction(0))
-        info = compute_size_bound(cfg, 100, law, 512, 1)
-        assert info["branch"] == "general"
-
-    def test_small_a_threshold(self):
-        cfg = ReductionConfig(lam=8, h=8)
-        import math
-
-        log_lam_n = math.log2(512) / math.log2(8)
-        law = OracleSizeLaw(Fraction(1, int(4 * log_lam_n**2)), Fraction(1))
-        info = compute_size_bound(cfg, 100, law, 512, 1)
-        assert info["branch"] == "small-a"
