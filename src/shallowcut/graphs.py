@@ -377,9 +377,12 @@ def scc_topological(g: DiGraph) -> list[tuple[int, ...]]:
     if n == 0:
         return []
     z, labels = connected_components(g._csr, connection="strong", directed=True)
-    comps = [np.flatnonzero(labels == c) for c in range(z)]
+    # the vertices by component, each component's ascending
+    members = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels, minlength=z)).tolist()
+    starts = [0] + ends[:-1]
     order = _topo_order_of_components(*_condensation_succs(labels, z, g.tails, g.heads))
-    return [tuple(int(v) for v in comps[c]) for c in order]
+    return [tuple(members[starts[c] : ends[c]]) for c in order]
 
 
 def _condensation_succs(

@@ -6,32 +6,52 @@ grown with depth-bounded searches (integer-weighted edges behave like
 chains of unit edges, so a bounded BFS and a bounded Dijkstra agree);
 edges longer than the radius are simply never traversed.
 
-Every recursive piece is a vertex subset of the one input graph: the
-forward and reverse adjacency are built once per decomposition, and each
-recursion node restricts its searches to its own vertex set instead of
-building a subgraph.
+Every recursive piece is a vertex subset of the one input graph, held as a
+Python-int bitmask over global vertex ids: pieces, balls, balanced-set
+unions and the light/heavy marks are masks, so membership, union and
+intersection are word operations and ``int.bit_count`` is a set's size.
+The adjacency lists each vertex's (length, successor mask) pairs, lengths
+ascending. Each decomposition builds it once, and inside a
+``shared_adjacency`` block decompositions of the same graph at the same d
+share one, dropped when the block exits. Numpy is used only for the pinned random
+draws and to split a node's edges by one bool vector per side. A mask is
+as wide as the highest vertex id it holds, so each operation costs up to
+n/64 machine words and a successor mask up to n bits: the layout pays off
+up to a few thousand vertices, not on graphs of tens of thousands.
+
+The coarse groups the recursion emits are refined into strongly connected
+components with one labelling pass over the remaining graph; only the
+groups that split get a topological pass, all of them in one batch.
 
 The recursion derives child randomness by splitting the parent seed with
 the child's branch label, so the two recursive branches are independent of
-evaluation order. A node holds only its seed's spawn key, and builds the
-SeedSequence when it reaches its draws: many nodes never draw.
+evaluation order. A node holds only the uint32 words its SeedSequence mixes
+(the run entropy padded to the pool size, then the spawn-key words), and
+builds the SeedSequence from them when it reaches its draws: many nodes
+never draw, and the words give the same stream as the spawn key would.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-from .graphs import DiGraph, induced_subgraph, scc_topological
+from .graphs import DiGraph, scc_topological
 
 _INT = np.int64
 
-# adjacency[u] lists (length, successors) pairs, lengths ascending
-_Adjacency = list[list[tuple[int, frozenset[int]]]]
+# adjacency[u] lists (length, successor mask) pairs, lengths ascending
+_Adjacency = list[list[tuple[int, int]]]
+
+# masks with more members than this are listed through numpy
+_DENSE = 32
 
 
 @dataclass(frozen=True)
@@ -67,52 +87,113 @@ class LddResult:
         return g.edge_subset(~self.removed_mask(g))
 
 
+def _mask(vertices) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << int(v)
+    return mask
+
+
+def _bits(mask: int, n: int) -> np.ndarray:
+    """Bool vector of length n: entry v is bit v of mask."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
+def _members(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    if mask.bit_count() > _DENSE:
+        return np.flatnonzero(_bits(mask, mask.bit_length())).tolist()
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _adjacency(mat: sp.csr_matrix, max_length: int) -> _Adjacency:
-    """Successor sets of a min-length CSR matrix, grouped by edge length;
+    """Successor masks of a min-length CSR matrix, grouped by edge length;
     edges longer than max_length (the largest search radius) are left out."""
     n = mat.shape[0]
     rows = np.repeat(np.arange(n, dtype=_INT), np.diff(mat.indptr))
     lengths = mat.data.astype(_INT)
     short = lengths <= max_length
     rows, lengths, heads = rows[short], lengths[short], mat.indices[short]
-    order = np.lexsort((heads, lengths, rows))
+    order = np.lexsort((lengths, rows))
     rows, lengths, heads = rows[order], lengths[order], heads[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (rows[1:] != rows[:-1]) | (lengths[1:] != lengths[:-1])
     starts = np.flatnonzero(new).tolist()
+    # one (tail, head) pair per CSR entry, so summing distinct bits is an OR
+    bit = (1).__lshift__
     heads_l, rows_l, lengths_l = heads.tolist(), rows.tolist(), lengths.tolist()
     adj: _Adjacency = [[] for _ in range(n)]
     for s, e in zip(starts, starts[1:] + [len(rows)]):
-        adj[rows_l[s]].append((lengths_l[s], frozenset(heads_l[s:e])))
+        adj[rows_l[s]].append((lengths_l[s], sum(map(bit, heads_l[s:e]))))
     return adj
 
 
-def _bounded_ball(adj: _Adjacency, src: int, radius: int, piece: set[int]) -> set[int]:
-    """Vertices of piece within distance radius of src, travelling only
-    inside piece. Dial's buckets: lengths are positive integers, so bucket t
-    is final once every lower bucket has been expanded."""
-    seen: set[int] = set()
-    buckets: list[Optional[set[int]]] = [None] * (radius + 1)
-    buckets[0] = {src}
-    last = t = 0
-    while t <= last:
-        bucket = buckets[t]
-        if bucket is not None:
-            layer = (bucket & piece) - seen
-            seen |= layer
-            for u in layer:
+_shared: ContextVar[Optional[dict]] = ContextVar("ldd_shared_adjacency", default=None)
+
+
+@contextmanager
+def shared_adjacency() -> Iterator[None]:
+    """Within the block, decompositions of the same graph object at the
+    same d build their adjacency once; it is dropped when the block exits."""
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+def _graph_adjacency(g: DiGraph, d: int) -> tuple[_Adjacency, _Adjacency]:
+    """The (forward, reverse) adjacency of g; no search reaches further
+    than d/2."""
+    cache = _shared.get()
+    key = (id(g), d)
+    if cache is not None and key in cache:
+        return cache[key][1]
+    adj = (_adjacency(g._csr, d // 2), _adjacency(g._csr_rev, d // 2))
+    if cache is not None:
+        cache[key] = (g, adj)  # holding g keeps its id from being reused
+    return adj
+
+
+def _ball(adj: _Adjacency, src: int, radius: int, piece: int) -> int:
+    """Mask of the vertices of piece within distance radius of src,
+    travelling only inside piece. Dial's buckets: lengths are positive
+    integers, so bucket t is final once every lower bucket has been
+    expanded."""
+    rest = piece ^ (1 << src)  # piece minus the vertices already settled
+    pending = 0  # every vertex ever queued
+    buckets = None
+    for w, succ in adj[src]:
+        if w > radius:
+            break
+        if succ & rest:
+            if buckets is None:
+                buckets = [0] * (radius + 1)
+            buckets[w] |= succ
+            pending |= succ
+    # most balls end here, with no other vertex of the piece in reach
+    t = 1
+    # a bucket's unsettled vertices are settled when it is reached, so the
+    # search is over once nothing queued is unsettled
+    while pending & rest:
+        layer = buckets[t] & rest
+        if layer:
+            rest ^= layer
+            for u in _members(layer) if layer & (layer - 1) else (layer.bit_length() - 1,):
                 for w, succ in adj[u]:
                     tw = t + w
                     if tw > radius:
                         break
-                    if buckets[tw] is None:
-                        buckets[tw] = set(succ)
-                        if tw > last:
-                            last = tw
-                    else:
-                        buckets[tw] |= succ
+                    buckets[tw] |= succ
+                    pending |= succ
         t += 1
-    return seen
+    return piece ^ rest
 
 
 def ball(g: DiGraph, v: int, radius: int, direction: str, within=None) -> set[int]:
@@ -123,11 +204,13 @@ def ball(g: DiGraph, v: int, radius: int, direction: str, within=None) -> set[in
         raise ValueError("radius must be nonnegative")
     if direction not in ("in", "out"):
         raise ValueError("direction must be 'in' or 'out'")
-    piece = set(range(g.vertex_count)) if within is None else {int(u) for u in within}
-    if v not in piece:
+    n = g.vertex_count
+    piece = (1 << n) - 1 if within is None else _mask(within) & ((1 << n) - 1)
+    v = int(v)
+    if v < 0 or not piece >> v & 1:
         raise ValueError("v must be a vertex of within")
     adj = _adjacency(g._csr if direction == "out" else g._csr_rev, radius)
-    return _bounded_ball(adj, int(v), radius, piece)
+    return set(_members(_ball(adj, v, radius, piece)))
 
 
 def find_balanced_set(
@@ -140,53 +223,38 @@ def find_balanced_set(
     """Grow balls of truncated-geometric radii around v_prime (visited in a
     seeded random order) until the union exceeds a tenth of the vertices,
     or v_prime is exhausted."""
-    verts = np.asarray(sorted(set(int(v) for v in v_prime)), dtype=_INT)
+    n = g.vertex_count
     adj = _adjacency(g._csr if direction == "out" else g._csr_rev, params.d // 4)
-    ids = np.arange(g.vertex_count, dtype=_INT)
-    mask = _find_balanced_local(adj, ids, set(ids.tolist()), verts, params.d, params.c, rng)
-    return {int(v) for v in np.flatnonzero(mask)}
+    union = _balanced(adj, (1 << n) - 1, n, _mask(v_prime), params.d, params.c, rng)
+    return set(_members(union))
 
 
 def _geom_p(c: int, d: int, n: int) -> float:
     return min(c * math.log2(max(n, 2)) / d, 1.0)
 
 
-def _local(ids: np.ndarray, verts) -> np.ndarray:
-    """Positions in the sorted id array ids of the given member vertices."""
-    return ids.searchsorted(np.fromiter(verts, dtype=_INT, count=len(verts)))
-
-
-def _find_balanced_local(
-    adj: _Adjacency,
-    ids: np.ndarray,
-    piece: set[int],
-    verts: np.ndarray,
-    d: int,
-    c: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """FindBalancedSet on the piece with sorted vertex ids ``ids`` (and
-    member set ``piece``); verts are centers as positions in ids. Returns a
-    bool membership mask over those positions."""
-    nv = len(ids)
-    covered = np.zeros(nv, dtype=bool)
-    if len(verts) == 0:
-        return covered
+def _balanced(
+    adj: _Adjacency, piece: int, nv: int, centers: int, d: int, c: int, rng: np.random.Generator
+) -> int:
+    """FindBalancedSet on the piece (nv vertices) around the centers mask;
+    returns the union of the balls grown."""
+    if not centers:
+        return 0
     # uniformly random processing order; a fixed order degenerates on path
     # graphs (every ball union becomes a prefix and nothing is ever cut)
-    verts = rng.permutation(verts)
+    verts = _members(centers)
+    rng.shuffle(verts)  # the draws rng.permutation makes
     cap = d // 4
     if cap >= 1:
-        radii = np.minimum(rng.geometric(_geom_p(c, d, nv), size=len(verts)), cap)
+        radii = np.minimum(rng.geometric(_geom_p(c, d, nv), size=len(verts)), cap).tolist()
     else:
-        radii = np.zeros(len(verts), dtype=_INT)
-    union: set[int] = set()
-    for v, r in zip(ids[verts].tolist(), radii.tolist()):
-        union |= _bounded_ball(adj, v, r, piece)
-        if 10 * len(union) > nv:
+        radii = [0] * len(verts)
+    union = 0
+    for v, r in zip(verts, radii):
+        union |= _ball(adj, v, r, piece)
+        if 10 * union.bit_count() > nv:
             break
-    covered[_local(ids, union)] = True
-    return covered
+    return union
 
 
 def low_diameter_decomposition(
@@ -201,169 +269,257 @@ def low_diameter_decomposition(
     """
     if seed_seq is None:
         seed_seq = np.random.SeedSequence(params.seed)
-    if g.vertex_count == 0:
+    n = g.vertex_count
+    if n == 0:
         return LddResult((), ())
-    ids = np.arange(g.vertex_count, dtype=_INT)
-    edge_idx = np.arange(g.edge_count, dtype=_INT)
-    # no search reaches further than d/2
-    adj = (_adjacency(g._csr, params.d // 2), _adjacency(g._csr_rev, params.d // 2))
-    # the root's children get the keys seed_seq.spawn(2) would hand out
-    # (seed_seq itself is left unchanged)
-    seed = _Seed(
-        seed_seq.entropy,
-        tuple(seed_seq.spawn_key),
-        seed_seq.pool_size,
-        seed_seq.n_children_spawned,
+    run = _Decomposition(g, _graph_adjacency(g, params.d), params.d, params.c)
+    run.node((1 << n) - 1, np.arange(g.edge_count, dtype=_INT), _Seed.of(seed_seq))
+    removed = (
+        np.unique(np.concatenate(run.removed)) if run.removed else np.empty(0, dtype=_INT)
     )
-    removed, coarse = _decompose(g, adj, ids, edge_idx, params.d, params.c, seed)
-    removed_arr = (
-        np.unique(np.concatenate(removed)) if removed else np.empty(0, dtype=_INT)
-    )
-    components = _refine_to_sccs(g, removed_arr, coarse)
-    return LddResult(
-        tuple(removed_arr.tolist()),
-        tuple(components),
-    )
+    return LddResult(tuple(removed.tolist()), tuple(_refine_to_sccs(g, removed, run.groups)))
+
+
+def _words(x: int) -> list[int]:
+    """The uint32 words SeedSequence makes of a nonnegative int, least
+    significant first (0 is one zero word)."""
+    out = [x & 0xFFFFFFFF]
+    x >>= 32
+    while x:
+        out.append(x & 0xFFFFFFFF)
+        x >>= 32
+    return out
+
+
+def _entropy_words(entropy) -> list[int]:
+    """The words of an int, or of each int of a (nested) sequence in turn."""
+    if isinstance(entropy, (int, np.integer)):
+        return _words(int(entropy))
+    return [w for x in entropy for w in _entropy_words(x)]
 
 
 class _Seed(NamedTuple):
-    """What a SeedSequence is made from: child i gets spawn key
-    spawn_key + (first_child + i,), exactly as SeedSequence.spawn numbers
-    them."""
+    """The words a SeedSequence mixes: the run entropy padded to pool_size,
+    then the spawn-key words. Child i gets spawn key spawn_key +
+    (first_child + i,), exactly as SeedSequence.spawn numbers them."""
 
-    entropy: object
-    spawn_key: tuple[int, ...]
+    words: list[int]
     pool_size: int
     first_child: int = 0
 
+    @classmethod
+    def of(cls, ss: np.random.SeedSequence) -> "_Seed":
+        run = _entropy_words(ss.entropy)
+        # SeedSequence pads only ahead of a spawn key; without one, the
+        # mixing hashes a zero for every missing pool word all the same
+        run += [0] * (ss.pool_size - len(run))
+        key = [w for k in ss.spawn_key for w in _words(int(k))]
+        return cls(run + key, ss.pool_size, ss.n_children_spawned)
+
     def sequence(self) -> np.random.SeedSequence:
         return np.random.SeedSequence(
-            self.entropy, spawn_key=self.spawn_key, pool_size=self.pool_size
+            np.array(self.words, dtype=np.uint32), pool_size=self.pool_size
         )
 
     def child(self, i: int) -> "_Seed":
-        return _Seed(self.entropy, self.spawn_key + (self.first_child + i,), self.pool_size)
+        return _Seed(self.words + _words(self.first_child + i), self.pool_size)
 
 
-def _decompose(
-    g: DiGraph,
-    adj: tuple[_Adjacency, _Adjacency],
-    ids: np.ndarray,
-    edge_idx: np.ndarray,
-    d: int,
-    c: int,
-    seed: _Seed,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Recursive worker on the piece with sorted vertex ids ``ids``, whose
-    internal edges are ``edge_idx``; adj is the (forward, reverse)
-    adjacency of all of g. Returns (removed edge-index chunks, ordered
-    coarse vertex groups as global-id arrays)."""
-    nv = len(ids)
-    if nv == 0:
-        return [], []
-    if nv == 1 or len(edge_idx) == 0:
-        # no internal edges left: nothing to remove, refinement will split
-        # the group into singletons
-        return [], [ids]
-    piece = set(ids.tolist())
+class _Decomposition:
+    """One recursion over g. Each node is a piece (vertex mask) with its
+    internal edges (indices into g's edge arrays); nodes append their
+    removed edge-index chunks to ``removed`` and their coarse vertex groups
+    (masks) to ``groups`` in topological order."""
 
-    # Trivial accept: if every vertex is within d/2 of the lowest-id one in
-    # both directions, the whole set already has weak diameter at most d
-    # (route any pair through that vertex), so recursing further would only
-    # remove edges for nothing.
-    if _within_both_ways(adj, int(ids[0]), d // 2, piece, piece):
-        return [], [ids]
+    def __init__(self, g: DiGraph, adj: tuple[_Adjacency, _Adjacency], d: int, c: int):
+        self.n = g.vertex_count
+        self.tails, self.heads = g.tails, g.heads
+        self.fwd, self.rev = adj
+        self.d, self.c = d, c
+        self.removed: list[np.ndarray] = []
+        self.groups: list[int] = []
 
-    rng = np.random.default_rng(seed.sequence())
-    fwd, rev = adj
-    lt = ids.searchsorted(g.tails[edge_idx])
-    lh = ids.searchsorted(g.heads[edge_idx])
+    def within_both_ways(self, u: int, piece: int, targets: int) -> bool:
+        """Is every vertex of targets within distance d/2 of u and u within
+        d/2 of it, measured inside piece?"""
+        r = self.d // 2
+        return not (
+            targets & ~_ball(self.fwd, u, r, piece) or targets & ~_ball(self.rev, u, r, piece)
+        )
 
-    # Phase 1: light/heavy marking from sampled ball membership counts.
-    # s lies in Ball_in(v, r) iff v lies in Ball_out(s, r), and vice versa
-    r4 = d // 4
-    n_samples = max(1, math.ceil(c * math.log2(max(nv, 2))))
-    counts = np.bincount(rng.integers(0, nv, size=n_samples), minlength=nv)
-    uniq = np.flatnonzero(counts)
-    in_hits: list[int] = []
-    out_hits: list[int] = []
-    for s, k in zip(ids[uniq].tolist(), counts[uniq].tolist()):
-        in_hits += list(_bounded_ball(fwd, s, r4, piece)) * k
-        out_hits += list(_bounded_ball(rev, s, r4, piece)) * k
-    in_count = np.bincount(_local(ids, in_hits), minlength=nv)
-    out_count = np.bincount(_local(ids, out_hits), minlength=nv)
-    in_light = 5 * in_count <= 3 * n_samples
-    out_light = ~in_light & (5 * out_count <= 3 * n_samples)
+    def node(self, piece: int, edges: np.ndarray, seed: _Seed) -> None:
+        nv = piece.bit_count()
+        if nv <= 1 or len(edges) == 0:
+            # no internal edges left: nothing to remove, refinement will
+            # split the group into singletons
+            if piece:
+                self.groups.append(piece)
+            return
+        d, c = self.d, self.c
 
-    # Phase 2: balanced sets with light boundaries. A_in grows in-balls
-    # (reverse graph) around in-light centers, A_out grows out-balls.
-    a_in = _find_balanced_local(rev, ids, piece, np.flatnonzero(in_light), d, c, rng)
-    a_out = _find_balanced_local(fwd, ids, piece, np.flatnonzero(out_light), d, c, rng)
-    rem_in = edge_idx[a_in[lh] & ~a_in[lt]]   # edges entering A_in
-    rem_out = edge_idx[a_out[lt] & ~a_out[lh]]  # edges leaving A_out
+        # Trivial accept: if every vertex is within d/2 of the lowest-id one
+        # in both directions, the whole set already has weak diameter at
+        # most d (route any pair through that vertex), so recursing further
+        # would only remove edges for nothing.
+        if self.within_both_ways((piece & -piece).bit_length() - 1, piece, piece):
+            self.groups.append(piece)
+            return
 
-    # Case 1: one side is balanced; split and recurse.
-    for star, a_mask, rem in (("in", a_in, rem_in), ("out", a_out, rem_out)):
-        size = int(a_mask.sum())
-        if 10 * size > nv and 10 * size <= 9 * nv:
-            inner = edge_idx[a_mask[lt] & a_mask[lh]]
-            outer = edge_idx[~a_mask[lt] & ~a_mask[lh]]
-            r1, v1 = _decompose(g, adj, ids[a_mask], inner, d, c, seed.child(0))
-            r2, v2 = _decompose(g, adj, ids[~a_mask], outer, d, c, seed.child(1))
-            groups = v1 + v2 if star == "in" else v2 + v1
-            return [rem] + r1 + r2, groups
+        rng = np.random.default_rng(seed.sequence())
 
-    # Clean up: the untouched middle must sit within d/2 of one vertex.
-    mid_ids = ids[~(a_in | a_out)]
-    ok = 2 * (nv - len(mid_ids)) < nv
-    if ok and len(mid_ids):
-        u = int(mid_ids[0])  # lowest-id choice keeps this deterministic
-        ok = _within_both_ways(adj, u, d // 2, piece, set(mid_ids.tolist()))
-    if not ok:
-        # give up on this subproblem: drop every edge, singleton components
-        return [edge_idx], [ids[i : i + 1] for i in range(nv)]
+        # Phase 1: light/heavy marking from sampled ball membership counts.
+        # s lies in Ball_in(v, r) iff v lies in Ball_out(s, r), and vice
+        # versa. The counts are bit-sliced: plane i holds bit i of each
+        # vertex's count.
+        r4 = d // 4
+        n_samples = max(1, math.ceil(c * math.log2(max(nv, 2))))
+        ids = _members(piece)
+        in_planes: list[int] = []
+        out_planes: list[int] = []
+        draws = rng.integers(0, nv, size=n_samples).tolist()
+        for s in set(draws):
+            into, out_of = _ball(self.fwd, ids[s], r4, piece), _ball(self.rev, ids[s], r4, piece)
+            for _ in range(draws.count(s)):
+                _count(in_planes, into)
+                _count(out_planes, out_of)
+        heavy = 3 * n_samples // 5  # light means 5 * count <= 3 * n_samples
+        in_heavy = _above(in_planes, heavy)
+        in_light = piece & ~in_heavy
+        out_light = in_heavy & ~_above(out_planes, heavy)
 
-    # Case 2: both sides small; middle becomes its own ordered block.
-    a_rest = a_out & ~a_in
-    in_edges = edge_idx[a_in[lt] & a_in[lh]]
-    rest_edges = edge_idx[a_rest[lt] & a_rest[lh]]
-    r1, v1 = _decompose(g, adj, ids[a_in], in_edges, d, c, seed.child(0))
-    r2, v2 = _decompose(g, adj, ids[a_rest], rest_edges, d, c, seed.child(1))
-    groups = v1 + ([mid_ids] if len(mid_ids) else []) + v2
-    return [rem_in, rem_out] + r1 + r2, groups
+        # Phase 2: balanced sets with light boundaries. A_in grows in-balls
+        # (reverse graph) around in-light centers, A_out grows out-balls.
+        # Case 1: one side is balanced; split on it and recurse. A split
+        # ends the node's draws (children draw from their own seeds), so
+        # A_out is only grown when A_in does not split.
+        a_in = _balanced(self.rev, piece, nv, in_light, d, c, rng)
+        if nv < 10 * a_in.bit_count() <= 9 * nv:
+            self.split(piece, a_in, edges, seed, into=True)
+            return
+        a_out = _balanced(self.fwd, piece, nv, out_light, d, c, rng)
+        if nv < 10 * a_out.bit_count() <= 9 * nv:
+            self.split(piece, a_out, edges, seed, into=False)
+            return
+
+        # Clean up: the untouched middle must sit within d/2 of one vertex.
+        mid = piece & ~(a_in | a_out)
+        ok = 2 * (nv - mid.bit_count()) < nv
+        if ok and mid:
+            # lowest-id choice keeps this deterministic
+            ok = self.within_both_ways((mid & -mid).bit_length() - 1, piece, mid)
+        if not ok:
+            # give up on this subproblem: drop every edge, singleton components
+            self.removed.append(edges)
+            self.groups.extend(1 << v for v in ids)
+            return
+
+        # Case 2: both sides small; middle becomes its own ordered block.
+        in_t, in_h = self.sides(a_in, edges)
+        out_t, out_h = self.sides(a_out, edges)
+        self.removed += [edges[in_h & ~in_t], edges[out_t & ~out_h]]
+        self.node(a_in, edges[in_t & in_h], seed.child(0))
+        if mid:
+            self.groups.append(mid)
+        self.node(a_out & ~a_in, edges[out_t & out_h & ~(in_t | in_h)], seed.child(1))
+
+    def sides(self, a: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which of the edges have their tail, and which their head, in a."""
+        bits = _bits(a, self.n)
+        return bits[self.tails[edges]], bits[self.heads[edges]]
+
+    def split(self, piece: int, a: int, edges: np.ndarray, seed: _Seed, into: bool) -> None:
+        """Cut the edges entering a (into) or leaving it, then recurse on a
+        and on the rest of piece, in topological order."""
+        a_t, a_h = self.sides(a, edges)
+        self.removed.append(edges[a_h & ~a_t] if into else edges[a_t & ~a_h])
+        inside = (a, edges[a_t & a_h], seed.child(0))
+        outside = (piece & ~a, edges[~(a_t | a_h)], seed.child(1))
+        # the children's seeds do not depend on the order they run in
+        for child in (inside, outside) if into else (outside, inside):
+            self.node(*child)
 
 
-def _within_both_ways(
-    adj: tuple[_Adjacency, _Adjacency],
-    u: int,
-    radius: int,
-    piece: set[int],
-    targets: set[int],
-) -> bool:
-    """Is every vertex of targets within distance radius of u and u within
-    radius of it, measured inside piece?"""
-    fwd, rev = adj
-    return targets <= _bounded_ball(fwd, u, radius, piece) and targets <= _bounded_ball(
-        rev, u, radius, piece
-    )
+def _count(planes: list[int], mask: int) -> None:
+    """Add one to the bit-sliced count of every vertex in mask: a ripple
+    carry through the planes."""
+    i = 0
+    while mask:
+        if i == len(planes):
+            planes.append(mask)
+            return
+        carry = planes[i] & mask
+        planes[i] ^= mask
+        mask = carry
+        i += 1
 
 
-def _refine_to_sccs(
-    g: DiGraph, removed: np.ndarray, coarse: list[np.ndarray]
-) -> list[tuple[int, ...]]:
-    """Split each coarse group into the strongly connected components of
-    G - E^rem it contains, keeping a valid topological order overall."""
+def _above(planes: list[int], k: int) -> int:
+    """Mask of the vertices whose bit-sliced count exceeds k, comparing
+    from the most significant plane down."""
+    above, tied = 0, -1
+    for i in range(max(len(planes), k.bit_length()) - 1, -1, -1):
+        plane = planes[i] if i < len(planes) else 0
+        if k >> i & 1:
+            tied &= plane
+        else:
+            above |= tied & plane
+            tied &= ~plane
+    return above
+
+
+def _refine_to_sccs(g: DiGraph, removed: np.ndarray, coarse: list[int]) -> list[tuple[int, ...]]:
+    """Split each coarse group (vertex mask) into the strongly connected
+    components of G - E^rem it contains, keeping a valid topological order
+    overall.
+
+    One strong-component pass labels all of G - E^rem. The groups are in
+    topological order, so every remaining edge between two groups points
+    forward and no cycle leaves a group: a group whose vertices share one
+    label is exactly one component. The groups that split are ordered as
+    scc_topological orders each on its own (see _split_groups)."""
     keep = np.ones(g.edge_count, dtype=bool)
     keep[removed] = False
     remaining = g.edge_subset(keep)
+    labels = connected_components(remaining._csr, connection="strong", directed=True)[1].tolist()
+    groups = [_members(group) for group in coarse]
+    whole = [all(labels[v] == labels[verts[0]] for v in verts) for verts in groups]
+    parts = iter(_split_groups(remaining, [v for v, w in zip(groups, whole) if not w]))
     out: list[tuple[int, ...]] = []
-    for group in coarse:
-        if len(group) <= 1:
-            out.append(tuple(int(v) for v in group))
-            continue
-        sub, orig = induced_subgraph(remaining, group)
-        for comp in scc_topological(sub):
-            out.append(tuple(int(orig[v]) for v in comp))
+    for verts, w in zip(groups, whole):
+        if w:
+            out.append(tuple(verts))
+        else:
+            out += next(parts)
+    return out
+
+
+def _split_groups(g: DiGraph, groups: list[list[int]]) -> list[list[tuple[int, ...]]]:
+    """For each group (ascending vertex ids), the components of its induced
+    subgraph in the order scc_topological gives on that subgraph alone.
+
+    One scc_topological pass runs on the disjoint union of the subgraphs,
+    its vertices laid out group after group. scipy starts a search at each
+    unvisited vertex in index order and labels components as its searches
+    finish them, so each group gets one block of labels, ordered as a pass
+    on the group alone orders them; the smallest-label-first topological
+    order then lists the groups one after another."""
+    if not groups:
+        return []
+    ids = np.array([v for verts in groups for v in verts], dtype=_INT)
+    group_of = np.full(g.vertex_count, -1, dtype=_INT)
+    group_of[ids] = np.repeat(np.arange(len(groups)), [len(verts) for verts in groups])
+    pos = np.empty(g.vertex_count, dtype=_INT)
+    pos[ids] = np.arange(len(ids))
+    t, h = group_of[g.tails], group_of[g.heads]
+    inside = (t >= 0) & (t == h)
+    union = DiGraph(
+        len(ids), pos[g.tails[inside]], pos[g.heads[inside]], g.lengths[inside], g.max_length_bound
+    )
+    ids_l, group_l = ids.tolist(), group_of.tolist()
+    out: list[list[tuple[int, ...]]] = [[] for _ in groups]
+    for comp in scc_topological(union):
+        verts = tuple(ids_l[v] for v in comp)
+        out[group_l[verts[0]]].append(verts)
     return out
 
 
@@ -374,10 +530,11 @@ def estimate_removal_probability(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     freq = np.zeros(g.edge_count)
-    for t in range(trials):
-        res = low_diameter_decomposition(
-            g, params, seed_seq=np.random.SeedSequence(params.seed, spawn_key=(t,))
-        )
-        if res.removed_edges:
-            freq[np.asarray(res.removed_edges, dtype=_INT)] += 1.0
+    with shared_adjacency():
+        for t in range(trials):
+            res = low_diameter_decomposition(
+                g, params, seed_seq=np.random.SeedSequence(params.seed, spawn_key=(t,))
+            )
+            if res.removed_edges:
+                freq[np.asarray(res.removed_edges, dtype=_INT)] += 1.0
     return freq / trials

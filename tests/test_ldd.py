@@ -18,8 +18,11 @@ from shallowcut import (
     find_balanced_set,
     induced_subgraph,
     low_diameter_decomposition,
+    scc_topological,
     verify_ldd,
 )
+from shallowcut import ldd
+from shallowcut.ldd import _Seed, shared_adjacency
 
 
 def unit_path(n):
@@ -32,6 +35,23 @@ def random_digraph(n, m, max_len, seed):
     h = (t + 1 + rng.integers(0, n - 1, size=m)) % n
     w = rng.integers(1, max_len + 1, size=m)
     return DiGraph.from_arrays(n, t, h, w, max_length_bound=max_len)
+
+
+def _wide_graph():
+    """Weighted digraph on 130 vertices: a random graph plus a unit path
+    through every vertex, so short balls cross the 64-bit word boundaries."""
+    rng = np.random.default_rng(17)
+    t = rng.integers(0, 130, size=260)
+    h = (t + 1 + rng.integers(0, 129, size=260)) % 130
+    w = rng.integers(1, 4, size=260)
+    path = np.arange(129)
+    return DiGraph.from_arrays(
+        130,
+        np.concatenate([t, path]),
+        np.concatenate([h, path + 1]),
+        np.concatenate([w, np.ones(129, dtype=np.int64)]),
+        3,
+    )
 
 
 class TestBall:
@@ -69,6 +89,35 @@ class TestBall:
         }
         # restricted to a piece: distances of the induced subgraph
         piece = sorted(set(np.flatnonzero(mask).tolist()) | {v})
+        sub, orig = induced_subgraph(g, piece)
+        src = piece.index(v)
+        for direction, mat in (("out", sub._csr), ("in", sub._csr_rev)):
+            row = dijkstra(mat, directed=True, indices=[src], limit=radius)[0]
+            assert ball(g, v, radius, direction, within=piece) == {
+                int(orig[u]) for u in np.flatnonzero(row <= radius)
+            }
+
+    @given(
+        st.sampled_from([0, 1, 62, 63, 64, 65, 100, 127, 128, 129]),
+        st.integers(0, 8),
+        st.sets(st.sampled_from([63, 64, 128])),
+    )
+    @example(v=62, radius=8, dropped={63, 64, 128})
+    @example(v=127, radius=8, dropped={128})
+    @settings(max_examples=30, deadline=None)
+    def test_matches_distance_threshold_past_one_word(self, v, radius, dropped):
+        # 130 vertices: pieces span three 64-bit words, and the dropped
+        # vertices sit on both sides of the first word boundary and open
+        # the third word
+        g = _wide_graph()
+        dist = dist_all_pairs(g)
+        assert ball(g, v, radius, "out") == {
+            int(u) for u in np.flatnonzero(dist[v] <= radius)
+        }
+        assert ball(g, v, radius, "in") == {
+            int(u) for u in np.flatnonzero(dist[:, v] <= radius)
+        }
+        piece = sorted((set(range(130)) - dropped) | {v})
         sub, orig = induced_subgraph(g, piece)
         src = piece.index(v)
         for direction, mat in (("out", sub._csr), ("in", sub._csr_rev)):
@@ -283,6 +332,136 @@ class TestPinnedOutputs:
             for s in range(3)
         ]
         assert got == self.LOOPY
+
+
+class TestSeedWords:
+    """A node's seed is the words its SeedSequence mixes; the streams must
+    be numpy's own for the same entropy, spawn key and pool size."""
+
+    ENTROPIES = [0, 7, 2**64 + 3, 0x9F3B_5C2E_71D4_0A86_E5B2_4C19_D873_6F20]
+
+    @pytest.mark.parametrize("entropy", ENTROPIES)
+    @pytest.mark.parametrize("key", [(), (3,), (1, 4, 2**33)])
+    @pytest.mark.parametrize("pool_size", [4, 8])
+    def test_matches_numpy(self, entropy, key, pool_size):
+        ss = np.random.SeedSequence(entropy, spawn_key=key, pool_size=pool_size)
+        seed = _Seed.of(ss)
+        assert np.array_equal(seed.sequence().generate_state(8), ss.generate_state(8))
+        for i, child in enumerate(ss.spawn(2)):
+            assert np.array_equal(
+                seed.child(i).sequence().generate_state(8), child.generate_state(8)
+            )
+            grandchild = child.spawn(2)[1]
+            assert np.array_equal(
+                seed.child(i).child(1).sequence().generate_state(8),
+                grandchild.generate_state(8),
+            )
+
+    @pytest.mark.parametrize("pool_size", [4, 8])
+    def test_children_continue_after_spawned(self, pool_size):
+        ss = np.random.SeedSequence(2**64 + 3, spawn_key=(1, 4), pool_size=pool_size)
+        ss.spawn(5)
+        seed = _Seed.of(ss)
+        assert np.array_equal(seed.sequence().generate_state(8), ss.generate_state(8))
+        for i, child in enumerate(ss.spawn(2)):
+            assert child.spawn_key == (1, 4, 5 + i)
+            assert np.array_equal(
+                seed.child(i).sequence().generate_state(8), child.generate_state(8)
+            )
+
+
+class TestRefineToSccs:
+    @staticmethod
+    def per_group(g, removed, coarse):
+        """The refinement as one scc_topological pass per group of two or
+        more vertices."""
+        keep = np.ones(g.edge_count, dtype=bool)
+        keep[removed] = False
+        remaining = g.edge_subset(keep)
+        out = []
+        for mask in coarse:
+            group = [v for v in range(g.vertex_count) if mask >> v & 1]
+            if len(group) == 1:
+                out.append(tuple(group))
+                continue
+            sub, orig = induced_subgraph(remaining, group)
+            out += [tuple(int(orig[v]) for v in comp) for comp in scc_topological(sub)]
+        return out
+
+    def test_matches_a_pass_per_group(self, monkeypatch):
+        # the criterion-1 graphs; both ways of emitting a group must occur
+        refine, split_groups = ldd._refine_to_sccs, ldd._split_groups
+        pairs, multi, split = [], [], []
+
+        def recording_refine(g, removed, coarse):
+            out = refine(g, removed, coarse)
+            pairs.append((out, self.per_group(g, removed, coarse)))
+            multi.append(sum(mask.bit_count() > 1 for mask in coarse))
+            return out
+
+        def recording_split(g, groups):
+            split.append(len(groups))
+            return split_groups(g, groups)
+
+        monkeypatch.setattr(ldd, "_refine_to_sccs", recording_refine)
+        monkeypatch.setattr(ldd, "_split_groups", recording_split)
+        for g, d in _criterion_one_graphs():
+            low_diameter_decomposition(g, LddParams(d=d))
+        assert all(got == want for got, want in pairs)
+        assert 0 < sum(split) < sum(multi)
+
+    def test_one_pass_matches_every_group_split(self, monkeypatch):
+        # labelling every vertex apart sends every group through the
+        # split path
+        graphs = list(_criterion_one_graphs())
+        one_pass = [low_diameter_decomposition(g, LddParams(d=d)) for g, d in graphs]
+        monkeypatch.setattr(
+            ldd,
+            "connected_components",
+            lambda mat, **kwargs: (mat.shape[0], np.arange(mat.shape[0])),
+        )
+        assert [low_diameter_decomposition(g, LddParams(d=d)) for g, d in graphs] == one_pass
+
+
+class TestSharedAdjacency:
+    def _counting(self, monkeypatch):
+        built = []
+        adjacency = ldd._adjacency
+
+        def counted(mat, max_length):
+            built.append(max_length)
+            return adjacency(mat, max_length)
+
+        monkeypatch.setattr(ldd, "_adjacency", counted)
+        return built
+
+    def test_one_build_per_graph_and_d(self, monkeypatch):
+        built = self._counting(monkeypatch)
+        g = random_digraph(60, 200, 4, seed=2)
+
+        def run(d, t):
+            return low_diameter_decomposition(
+                g, LddParams(d=d), seed_seq=np.random.SeedSequence(0, spawn_key=(t,))
+            )
+
+        alone = [run(16, t) for t in range(3)]
+        assert len(built) == 6  # forward and reverse, every call
+        built.clear()
+        with shared_adjacency():
+            shared = [run(16, t) for t in range(3)]
+            assert built == [8, 8]
+            run(12, 0)
+            assert built == [8, 8, 6, 6]
+        assert shared == alone
+        # nothing is held once the block exits
+        built.clear()
+        run(16, 0)
+        assert built == [8, 8]
+
+    def test_removal_trials_share_one_build(self, monkeypatch):
+        built = self._counting(monkeypatch)
+        estimate_removal_probability(unit_path(40), LddParams(d=8), trials=5)
+        assert built == [4, 4]
 
 
 class TestRemovalProbability:

@@ -27,6 +27,7 @@ from shallowcut import (
     scaled_length,
     verify_shortcut,
 )
+from shallowcut import ldd, shallow_reduce
 
 fractions = st.fractions(
     min_value=Fraction(1, 64), max_value=Fraction(64), max_denominator=64
@@ -152,6 +153,28 @@ class TestRunPhase:
         before = dist_all_pairs(g)
         after = dist_all_pairs(g, out)
         assert np.all((after >= before) | ~np.isfinite(before))
+
+
+    def test_repetitions_share_one_adjacency(self, monkeypatch):
+        # one LDD per repetition, one (forward, reverse) adjacency per phase
+        built, decompositions = [], []
+        adjacency = ldd._adjacency
+        decompose = shallow_reduce.low_diameter_decomposition
+
+        def counted_adjacency(mat, max_length):
+            built.append(max_length)
+            return adjacency(mat, max_length)
+
+        def counted_decompose(*args, **kwargs):
+            decompositions.append(args[1])
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(ldd, "_adjacency", counted_adjacency)
+        monkeypatch.setattr(shallow_reduce, "low_diameter_decomposition", counted_decompose)
+        cfg = ReductionConfig(lam=8, h=8, ldd_repetitions=3, eps=Fraction(1, 2))
+        run_phase(unit_path(48), PhasePlan(1, 1, 2), cfg, ExactTransitiveOracle(48))
+        assert len(decompositions) == 3
+        assert built == [16, 16]
 
 
 class TestReduceHopset:
