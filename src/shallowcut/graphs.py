@@ -21,6 +21,9 @@ INF = np.inf
 
 _INT = np.int64
 
+# bool cells per block of reachable_pairs's unpacked closure rows (1 MB)
+_BLOCK_CELLS = 1 << 20
+
 
 def _as_int_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=_INT)
@@ -421,33 +424,51 @@ def _topo_order_of_components(ptr: np.ndarray, succ: np.ndarray) -> list[int]:
 
 
 def condensation_closure(g: DiGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Strong-component labels of g and the reachability closure of its
-    condensation: u reaches v exactly when reach[labels[u], labels[v]].
+    """Strong-component labels of g and the vertex sets its components
+    reach: u reaches v exactly when bit v of rows[labels[u]] is set.
 
-    reach is z x z for z components, so it stays small when the vertex
-    closure itself is dense. The rows are ORed in reverse topological order
-    as np.packbits rows, an eighth of the bytes of bool rows, and unpacked
-    once at the end.
+    rows is z x ceil(n/8) uint8 for z components, packed as
+    np.packbits(..., bitorder="little") packs: vertex v is bit v & 7 of
+    byte v >> 3. scipy's labels come from a Tarjan-style search, which
+    finishes every component after its successors, so each condensation
+    edge points to a smaller label and ascending label order is a reverse
+    topological order (Purdom's closure order). That is checked on every
+    call; when it fails, the rows are ORed in the reverse of
+    _topo_order_of_components instead, with the same result. Each row is a
+    Python int while it is ORed, and only components with successors are
+    visited.
     """
-    if g.vertex_count == 0:
-        return np.empty(0, dtype=_INT), np.zeros((0, 0), dtype=bool)
+    n = g.vertex_count
+    if n == 0:
+        return np.empty(0, dtype=_INT), np.zeros((0, 0), dtype=np.uint8)
     z, labels = connected_components(g._csr, connection="strong", directed=True)
     ptr, succ = _condensation_succs(labels, z, g.tails, g.heads)
-    comps = np.arange(z)
-    packed = np.zeros((z, (z + 7) // 8), dtype=np.uint8)
-    packed[comps, comps >> 3] = 0x80 >> (comps & 7)  # the diagonal, big-endian bits
-    for c in reversed(_topo_order_of_components(ptr, succ)):
-        if ptr[c + 1] > ptr[c]:
-            packed[c] |= np.bitwise_or.reduce(packed[succ[ptr[c] : ptr[c + 1]]], axis=0)
-    return labels, np.unpackbits(packed, axis=1, count=z).view(bool)
+    if (succ < np.repeat(np.arange(z), np.diff(ptr))).all():
+        order = range(z)
+    else:
+        order = reversed(_topo_order_of_components(ptr, succ))
+    rows = [0] * z
+    for v, c in enumerate(labels.tolist()):
+        rows[c] |= 1 << v
+    p, s = ptr.tolist(), succ.tolist()
+    for c in order:
+        if p[c] < p[c + 1]:
+            r = rows[c]
+            for t in s[p[c] : p[c + 1]]:
+                r |= rows[t]
+            rows[c] = r
+    width = (n + 7) // 8
+    packed = b"".join([r.to_bytes(width, "little") for r in rows])
+    return labels, np.frombuffer(packed, dtype=np.uint8).reshape(z, width)
 
 
 def pairs_reachable(g: DiGraph, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """For each i, does tails[i] reach heads[i] in g?"""
     if len(tails) == 0:
         return np.ones(0, dtype=bool)
-    labels, reach = condensation_closure(g)
-    return reach[labels[tails], labels[heads]]
+    labels, rows = condensation_closure(g)
+    heads = np.asarray(heads, dtype=_INT)
+    return (rows[labels[tails], heads >> 3] >> (heads & 7) & 1).astype(bool)
 
 
 def strong_diameter(g: DiGraph, s: Iterable[int]) -> float:
@@ -485,19 +506,21 @@ def reachable_pairs(g: DiGraph) -> EdgeSet:
     """All ordered pairs (u, v), u != v, with u reaching v: the transitive
     closure minus the diagonal, in canonical (tail, head) order.
 
-    Expands the condensation closure in row blocks of at most
-    max(z * z, n) cells, so the n x n mask is never held at once when the
-    z x z closure is smaller.
+    Unpacks the closure rows of blocks of vertices, at most _BLOCK_CELLS
+    bool cells (and at least one vertex) per block, so the n x n mask is
+    never held at once.
     """
-    labels, reach = condensation_closure(g)
-    n, z = g.vertex_count, len(reach)
-    rows = max(1, z * z // max(n, 1))
+    labels, rows = condensation_closure(g)
+    n = g.vertex_count
+    block = max(1, _BLOCK_CELLS // max(n, 1))
     t_parts, h_parts = [], []
-    for start in range(0, n, rows):
-        block = reach[labels[start : start + rows]][:, labels]
-        k = len(block)
-        block[np.arange(k), np.arange(start, start + k)] = False
-        t, h = np.nonzero(block)
+    for start in range(0, n, block):
+        reach = np.unpackbits(
+            rows[labels[start : start + block]], axis=1, count=n, bitorder="little"
+        ).view(bool)
+        k = len(reach)
+        reach[np.arange(k), np.arange(start, start + k)] = False
+        t, h = np.nonzero(reach)
         t_parts.append(t + start)
         h_parts.append(h)
     if not t_parts:

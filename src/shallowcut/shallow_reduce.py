@@ -291,10 +291,10 @@ def reduce_shortcut(g: DiGraph, cfg: ReductionConfig, shortcut_oracle) -> Reduct
         unit, replace(cfg, eps=Fraction(1)), ShortcutOracleAdapter(shortcut_oracle),
         shortcut=True,
     )
+    # the hopset is canonical with one edge per (tail, head) pair, so the
+    # pairs without self-loops are already a canonical EdgeSet
     keep = report.hopset.tails != report.hopset.heads
-    report.shortcut = EdgeSet.from_arrays(
-        report.hopset.tails[keep], report.hopset.heads[keep]
-    )
+    report.shortcut = EdgeSet(report.hopset.tails[keep], report.hopset.heads[keep])
     return report
 
 

@@ -34,8 +34,10 @@ from .ldd import LddResult
 
 DEFAULT_CEILING = 2000
 _MAX_RECORDED = 100
-# distances per chunk of _hop_radius's searches (8 MB of float64)
+# distances per chunk of _farthest_pair's searches (8 MB of float64)
 _CELLS = 1 << 20
+# set bits of each byte value
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 class SizeCeilingError(ValueError):
@@ -194,33 +196,53 @@ def verify_distance_preservation(
 
 def _hop_radius(g: DiGraph, extra: Optional[WeightedEdgeSet]) -> int:
     """Max hop count needed to connect any reachable pair u != v in
-    G union extra (0 when no vertex reaches another).
+    G union extra (0 when no vertex reaches another), found by
+    _farthest_pair from packed closure rows and open-source searches."""
+    return _farthest_pair(g, extra)[0]
+
+
+def _farthest_pair(
+    g: DiGraph, extra: Optional[WeightedEdgeSet]
+) -> tuple[int, Optional[tuple[int, int]]]:
+    """The hop radius of G union extra and the first pair (u, v) in
+    row-major order that is that many hops apart (None at radius 0).
 
     The condensation closure of the unit-length union graph counts the
-    vertices each source reaches. A source with an edge to each of them
-    needs one hop, so unit-length searches run only from the other
-    sources, in chunks of at most _CELLS distances: no n x n distance
-    matrix is held.
+    vertices each source reaches, by popcount of its packed row. A source
+    with an edge to each of them needs one hop, so unit-length searches run
+    only from the other sources, in chunks of at most _CELLS distances: no
+    n x n matrix is held. A source that needs a search reaches some vertex
+    two or more hops away, so at a radius above 1 the pair comes from the
+    searches; at radius 1 it is the first edge of the simple CSR.
     """
     gu = g.with_extra(extra)
     n = gu.vertex_count
     if n == 0:
-        return 0
-    unit = DiGraph(n, gu.tails, gu.heads, np.ones(gu.edge_count, dtype=np.int64), 1)
-    labels, reach = condensation_closure(unit)
-    sizes = np.bincount(labels)
-    rows = max(1, _CELLS // len(reach))
-    per_comp = np.concatenate(
-        [reach[i : i + rows] @ sizes for i in range(0, len(reach), rows)]
-    )
-    reached = per_comp[labels] - 1  # every vertex reaches itself
-    open_sources = np.flatnonzero(np.diff(unit._csr.indptr) < reached)
-    radius = int(reached.max() > 0)
-    rows = max(1, _CELLS // n)
-    for i in range(0, len(open_sources), rows):
-        hops = dist_from_sources(unit, open_sources[i : i + rows])
-        radius = max(radius, int(hops[np.isfinite(hops)].max()))
-    return radius
+        return 0, None
+    if gu.max_length_bound == 1:
+        unit = gu
+    else:
+        unit = DiGraph(n, gu.tails, gu.heads, np.ones(gu.edge_count, dtype=np.int64), 1)
+    labels, rows = condensation_closure(unit)
+    reached = _POPCOUNT[rows].sum(axis=1, dtype=np.int64)[labels] - 1  # minus itself
+    csr = unit._csr
+    out_degree = np.diff(csr.indptr)
+    open_sources = np.flatnonzero(out_degree < reached)
+    if len(open_sources) == 0:
+        if not reached.any():
+            return 0, None
+        u = int(np.flatnonzero(out_degree)[0])
+        return 1, (u, int(csr.indices[csr.indptr[u]]))
+    radius, pair = 1, None
+    chunk = max(1, _CELLS // n)
+    for i in range(0, len(open_sources), chunk):
+        sources = open_sources[i : i + chunk]
+        hops = dist_from_sources(unit, sources)
+        hops[~np.isfinite(hops)] = -1
+        u, v = np.unravel_index(np.argmax(hops), hops.shape)
+        if hops[u, v] > radius:
+            radius, pair = int(hops[u, v]), (int(sources[u]), int(v))
+    return radius, pair
 
 
 def verify_shortcut(
@@ -247,16 +269,12 @@ def verify_shortcut(
             ),
         )
 
-    diam = _hop_radius(g, shortcut.with_unit_lengths())
+    diam, witness = _farthest_pair(g, shortcut.with_unit_lengths())
     if diam > h:
-        hops = dist_all_pairs(g.with_extra(shortcut.with_unit_lengths()))
-        np.fill_diagonal(hops, np.inf)
-        hops[~np.isfinite(hops)] = -np.inf
-        u, v = np.unravel_index(np.argmax(hops), hops.shape)
         count = _collect(
             violations,
             count,
-            Violation("hopbound-exceeded", (int(u), int(v)), f"<= {h}", diam),
+            Violation("hopbound-exceeded", witness, f"<= {h}", diam),
         )
     return VerificationReport(
         passed=count == 0,

@@ -20,6 +20,7 @@ from shallowcut import (
     strong_diameter,
     verify_hopset,
 )
+from shallowcut import graphs
 from shallowcut.graphs import _min_csr, condensation_closure
 
 
@@ -58,6 +59,12 @@ def closure_graphs(draw, max_n=20, max_m=50):
 
 def unit_path(n):
     return DiGraph.from_edges(n, [(i, i + 1, 1) for i in range(n - 1)])
+
+
+def vertex_reach(labels, rows, n):
+    """The n x n bool matrix of condensation_closure's packed rows: u
+    reaches v when bit v of rows[labels[u]] is set."""
+    return np.unpackbits(rows[labels], axis=1, count=n, bitorder="little").view(bool)
 
 
 @st.composite
@@ -408,8 +415,8 @@ class TestReachablePairs:
     def test_matches_distance_matrix(self, g):
         n = g.vertex_count
         reach = np.isfinite(dist_all_pairs(g))
-        labels, comp_reach = condensation_closure(g)
-        assert np.array_equal(comp_reach[labels][:, labels], reach)
+        labels, rows = condensation_closure(g)
+        assert np.array_equal(vertex_reach(labels, rows, n), reach)
         u, v = np.divmod(np.arange(n * n, dtype=np.int64), max(n, 1))
         assert np.array_equal(pairs_reachable(g, u, v), reach.ravel())
 
@@ -423,3 +430,65 @@ class TestReachablePairs:
         key = pairs.tails * n + pairs.heads
         assert np.all(np.diff(key) > 0)
         assert not np.any(pairs.tails == pairs.heads)
+
+
+class TestCondensationClosure:
+    @given(closure_graphs(max_n=100, max_m=250))
+    @example(DiGraph.from_edges(65, [(i, (i + 1) % 65, 1) for i in range(65)] + [(3, 3, 1)]))
+    @example(DiGraph.from_edges(130, [(i, i + 1, 1) for i in range(129)] + [(129, 64, 1)] * 2))
+    @example(DiGraph.from_edges(9, [(8, 0, 1), (0, 8, 1), (4, 4, 1), (4, 5, 1), (4, 5, 1)]))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_distance_matrix(self, g):
+        n = g.vertex_count
+        labels, rows = condensation_closure(g)
+        z = len(np.unique(labels))
+        assert rows.dtype == np.uint8
+        assert rows.shape == (z, (n + 7) // 8)
+        assert np.array_equal(vertex_reach(labels, rows, n), np.isfinite(dist_all_pairs(g)))
+        # no bit past vertex n - 1
+        full = np.unpackbits(rows, axis=1, bitorder="little")
+        assert not full[:, n:].any()
+
+    @given(closure_graphs(max_n=40, max_m=120))
+    @settings(max_examples=60, deadline=None)
+    def test_fallback_order_gives_the_same_closure(self, g):
+        """Labels that put successors at larger labels fail the label-order
+        check, so the rows are ORed in Kahn order; the closure is the same."""
+        n = g.vertex_count
+        labels, rows = condensation_closure(g)
+        cc, topo = graphs.connected_components, graphs._topo_order_of_components
+        calls = []
+
+        def reversed_labels(*args, **kwargs):
+            z, lab = cc(*args, **kwargs)
+            return z, z - 1 - lab
+
+        def recording(ptr, succ):
+            calls.append(len(succ))
+            return topo(ptr, succ)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "connected_components", reversed_labels)
+            mp.setattr(graphs, "_topo_order_of_components", recording)
+            labels2, rows2 = condensation_closure(g)
+        assert np.array_equal(labels2, len(rows) - 1 - labels)
+        assert np.array_equal(vertex_reach(labels2, rows2, n), vertex_reach(labels, rows, n))
+        # every condensation edge now points to a larger label
+        assert bool(calls) == bool((labels[g.tails] != labels[g.heads]).any())
+
+    @given(closure_graphs(max_n=40, max_m=120))
+    @settings(max_examples=60, deadline=None)
+    def test_scipy_labels_need_no_topological_sort(self, g):
+        """scipy's strong-component labels already put every condensation
+        successor at a smaller label, so the closure never falls back to
+        the Kahn order (which would still be correct, only slower)."""
+
+        def refuse(ptr, succ):
+            raise AssertionError("fell back to the Kahn order")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "_topo_order_of_components", refuse)
+            labels, rows = condensation_closure(g)
+        assert np.array_equal(
+            vertex_reach(labels, rows, g.vertex_count), np.isfinite(dist_all_pairs(g))
+        )

@@ -87,6 +87,27 @@ class TestHopRadius:
         with mock.patch.object(verify, "_CELLS", cells):
             assert verify._hop_radius(g, extra) == reference_hop_radius(g, extra)
 
+    @given(graphs_with_extra(), st.sampled_from([1, 5, 1 << 20]))
+    @example((unit_path(5), None), 1 << 20)
+    @example((DiGraph.from_edges(3, [(2, 2, 1), (2, 0, 1), (1, 0, 4)]), None), 1 << 20)
+    @settings(max_examples=150, deadline=None)
+    def test_pair_is_the_first_at_the_radius(self, case, cells):
+        """The pair is the first (u, v) in row-major order of the unit-length
+        all-pairs hop matrix (diagonal excluded) at its maximum."""
+        g, extra = case
+        with mock.patch.object(verify, "_CELLS", cells):
+            radius, pair = verify._farthest_pair(g, extra)
+        assert radius == reference_hop_radius(g, extra)
+        if radius == 0:
+            assert pair is None
+            return
+        gu = g.with_extra(extra)
+        unit = DiGraph(gu.vertex_count, gu.tails, gu.heads, np.ones(gu.edge_count, dtype=np.int64), 1)
+        hops = dist_all_pairs(unit)
+        np.fill_diagonal(hops, np.inf)
+        hops[~np.isfinite(hops)] = -np.inf
+        assert pair == tuple(int(x) for x in np.unravel_index(np.argmax(hops), hops.shape))
+
     def test_open_sources_span_several_chunks(self, monkeypatch):
         chunks = []
 
@@ -175,6 +196,21 @@ class TestVerifyShortcut:
         report = verify_shortcut(unit_path(10), EdgeSet.empty(), 4)
         assert not report.passed
         assert report.violations[0].witness == (0, 9)
+
+    def test_witness_needs_no_all_pairs_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no all-pairs distance matrix")
+
+        monkeypatch.setattr(verify, "dist_all_pairs", refuse)
+        g = DiGraph.from_edges(6, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, 1), (4, 5, 1)])
+        report = verify_shortcut(g, EdgeSet.from_pairs([(4, 5)]), 1)
+        assert not report.passed
+        assert report.measured_hopbound == 3
+        assert [(v.kind, v.witness) for v in report.violations] == [("hopbound-exceeded", (0, 3))]
+        # at radius 1 the witness is the first edge
+        report = verify_shortcut(unit_path(4), EdgeSet.from_pairs([(0, 2), (0, 3), (1, 3)]), 0)
+        assert report.measured_hopbound == 1
+        assert [(v.kind, v.witness) for v in report.violations] == [("hopbound-exceeded", (0, 1))]
 
     def test_detects_unreachable_pair_edge(self):
         report = verify_shortcut(unit_path(4), EdgeSet.from_pairs([(3, 0)]), 4)
