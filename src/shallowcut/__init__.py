@@ -12,9 +12,7 @@ from .dag_reduce import (
     ClusteredInput,
     DagIterationRecord,
     DagReduceTrace,
-    merge_groups,
     reduce_clustered_dag,
-    strip_cross_edges,
 )
 from .generators import FAMILIES, GeneratorSpec, generate
 from .graphs import (
@@ -111,8 +109,6 @@ __all__ = [
     "ClusteredInput",
     "DagIterationRecord",
     "DagReduceTrace",
-    "merge_groups",
-    "strip_cross_edges",
     "reduce_clustered_dag",
     "ReductionConfig",
     "ReductionReport",

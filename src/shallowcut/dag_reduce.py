@@ -5,23 +5,23 @@ diameter) already has a small approximate hopbound within each component.
 The reduction repeatedly calls the shallow oracle on the graph with all
 cross-group edges removed, then merges lambda consecutive groups along the
 topological order, so each round multiplies the per-group hopbound budget
-by at most lambda while the group count shrinks geometrically.
+by at most lambda while the group count shrinks geometrically. Groups are
+one label vector: each vertex's group index, so a merge is an integer
+division by lambda and the stripped graph is one edge mask.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Optional
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .graphs import DiGraph, WeightedEdgeSet
 from .oracles import OracleCall, ShallowOracle, checked_call
-
-log = logging.getLogger(__name__)
 
 _INT = np.int64
 
@@ -32,31 +32,32 @@ class ClusteredInput:
     components_topo: tuple[tuple[int, ...], ...]
     cluster_diameter: int
 
-    def validate(self) -> None:
-        """Reject anything that is not a topologically ordered SCC partition.
+    def validate(self) -> np.ndarray:
+        """Reject anything that is not a topologically ordered SCC partition;
+        return each vertex's component index.
 
         The strong-diameter bound is left to verify_clustered: it costs an
         all-pairs computation per component.
         """
         g = self.graph
         n = g.vertex_count
-        group = np.full(n, -1, dtype=_INT)
-        for i, comp in enumerate(self.components_topo):
-            for v in comp:
-                if v < 0 or v >= n or group[v] != -1:
-                    raise ValueError("components do not partition the vertex set")
-                group[v] = i
-        if n and (group < 0).any():
+        sizes = [len(comp) for comp in self.components_topo]
+        members = np.fromiter(chain.from_iterable(self.components_topo), dtype=_INT)
+        if not np.array_equal(np.sort(members), np.arange(n)):
             raise ValueError("components do not partition the vertex set")
-        if g.edge_count and (group[g.tails] > group[g.heads]).any():
+        group = np.empty(n, dtype=_INT)
+        group[members] = np.repeat(np.arange(len(sizes), dtype=_INT), sizes)
+        if (group[g.tails] > group[g.heads]).any():
             raise ValueError("component list is not in topological order")
         if n:
             z, labels = connected_components(g._csr, connection="strong")
-            if z != len(self.components_topo):
+            if z != len(sizes):
                 raise ValueError("components are not the strongly connected components")
-            for comp in self.components_topo:
-                if len({int(labels[v]) for v in comp}) != 1:
-                    raise ValueError("a component spans several SCCs")
+            label_of = np.empty(z, dtype=labels.dtype)
+            label_of[group] = labels
+            if (label_of[group] != labels).any():
+                raise ValueError("a component spans several SCCs")
+        return group
 
 
 @dataclass(frozen=True)
@@ -89,29 +90,6 @@ class DagReduceTrace:
         return {"iterations": [r.to_json() for r in self.iterations]}
 
 
-def merge_groups(
-    groups: Sequence[tuple[int, ...]], lam: int
-) -> list[tuple[int, ...]]:
-    """Union lambda consecutive groups; the last block may be shorter."""
-    if lam < 2:
-        raise ValueError("lambda must be at least 2")
-    merged = []
-    for start in range(0, len(groups), lam):
-        block = groups[start : start + lam]
-        merged.append(tuple(sorted(v for grp in block for v in grp)))
-    return merged
-
-
-def strip_cross_edges(g: DiGraph, groups: Sequence[tuple[int, ...]]) -> DiGraph:
-    """Disjoint union of the induced subgraphs, with vertex ids unchanged."""
-    group = np.full(g.vertex_count, -1, dtype=_INT)
-    for i, comp in enumerate(groups):
-        group[list(comp)] = i
-    if (group < 0).any():
-        raise ValueError("groups must partition the vertex set")
-    return g.edge_subset(group[g.tails] == group[g.heads])
-
-
 def reduce_clustered_dag(
     cinput: ClusteredInput,
     oracle: ShallowOracle,
@@ -124,21 +102,20 @@ def reduce_clustered_dag(
 
     Returns the union of all oracle outputs together with the per-iteration
     trace. With the exact reference oracle the result is an (alpha, h)-hopset
-    for alpha = (1 + eps)^iterations.
+    for alpha = (1 + eps)^iterations. The bound of 2 log_lambda(n)
+    iterations needs lambda >= 9.
     """
     if lam < 2:
         raise ValueError("lambda must be at least 2")
-    if lam < 9:
-        log.info("lambda=%d below 9: iteration-count bound 2*log_lambda(n) not guaranteed", lam)
     if cinput.cluster_diameter > lam * h:
         raise ValueError("cluster_diameter must be at most lambda * h")
-    cinput.validate()
+    group = cinput.validate()
     if seed_seq is None:
         seed_seq = np.random.SeedSequence(0)
 
     g = cinput.graph
     eps = Fraction(eps)
-    groups: list[tuple[int, ...]] = list(cinput.components_topo)
+    group_count = len(cinput.components_topo)
     trace = DagReduceTrace()
     acc = WeightedEdgeSet.empty()
     alpha0 = Fraction(1)
@@ -148,7 +125,7 @@ def reduce_clustered_dag(
     while True:
         i += 1
         current = g.with_extra(acc)
-        stripped = strip_cross_edges(current, groups)
+        stripped = current.edge_subset(group[current.tails] == group[current.heads])
         call = OracleCall(alpha0, stripped, lam * h, h)
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=seed_seq.entropy, spawn_key=tuple(seed_seq.spawn_key) + (i,)
@@ -156,10 +133,11 @@ def reduce_clustered_dag(
         hopset = checked_call(oracle, call, rng)
         acc = WeightedEdgeSet.union(acc, hopset)
         trace.iterations.append(
-            DagIterationRecord(i, alpha0, len(groups), stripped.edge_count, len(hopset))
+            DagIterationRecord(i, alpha0, group_count, stripped.edge_count, len(hopset))
         )
-        if len(groups) == 1:
+        if group_count == 1:
             break
-        groups = merge_groups(groups, lam)
+        group //= lam
+        group_count = -(-group_count // lam)
         alpha0 *= 1 + eps
     return acc, trace

@@ -104,14 +104,20 @@ def write_weighted_edge_set(es: WeightedEdgeSet, path: str | Path) -> None:
     _write_lines(path, "", es.tails, es.heads, es.lengths)
 
 
+def _edge_rows(path: str | Path, count: int):
+    """(line number, fields) for each non-blank line of an edge-set file,
+    each line holding count integers."""
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if line.strip():
+            yield lineno, _parse_ints(line, count, lineno)
+
+
 def read_weighted_edge_set(path: str | Path) -> WeightedEdgeSet:
     triples = []
-    for i, line in enumerate(Path(path).read_text().splitlines()):
-        if line.strip():
-            t, h, w = _parse_ints(line, 3, i + 1)
-            if w < 1:
-                raise FormatError(f"line {i + 1}: length {w} is below 1")
-            triples.append((t, h, w))
+    for lineno, (t, h, w) in _edge_rows(path, 3):
+        if w < 1:
+            raise FormatError(f"line {lineno}: length {w} is below 1")
+        triples.append((t, h, w))
     return WeightedEdgeSet.from_triples(triples)
 
 
@@ -120,9 +126,4 @@ def write_edge_set(es: EdgeSet, path: str | Path) -> None:
 
 
 def read_edge_set(path: str | Path) -> EdgeSet:
-    pairs = []
-    for i, line in enumerate(Path(path).read_text().splitlines()):
-        if line.strip():
-            t, h = _parse_ints(line, 2, i + 1)
-            pairs.append((t, h))
-    return EdgeSet.from_pairs(pairs)
+    return EdgeSet.from_pairs([row for _, row in _edge_rows(path, 2)])

@@ -6,6 +6,10 @@ Everything here is computed from first principles on top of the graph
 primitives only, so these checks stay independent of the construction
 code they judge. All checks are exhaustive over ordered pairs, guarded by
 a size ceiling (the work is Theta(n^2) or worse).
+
+Each verifier reports through one recorder: it counts every violation and
+keeps the first _MAX_RECORDED in the order found. A check over a mask counts
+its true cells in numpy and builds Violations only for those it keeps.
 """
 
 from __future__ import annotations
@@ -87,10 +91,31 @@ def _guard(n: int, ceiling: int) -> None:
         )
 
 
-def _collect(violations: list[Violation], count: int, v: Violation) -> int:
-    if len(violations) < _MAX_RECORDED:
-        violations.append(v)
-    return count + 1
+class _Recorder:
+    """Counts every violation of one verification and keeps the first
+    _MAX_RECORDED of them in the order found."""
+
+    def __init__(self) -> None:
+        self.violations: list[Violation] = []
+        self.count = 0
+
+    def add(self, kind: str, witness: tuple, expected: Any, actual: Any) -> None:
+        self.count += 1
+        if len(self.violations) < _MAX_RECORDED:
+            self.violations.append(Violation(kind, witness, expected, actual))
+
+    def add_where(self, kind: str, mask: np.ndarray, describe) -> None:
+        """Count the true cells of mask in numpy; keep a violation for the
+        first of them in row-major order while there is room, with
+        describe(*index) giving its (witness, expected, actual)."""
+        self.count += int(np.count_nonzero(mask))
+        room = _MAX_RECORDED - len(self.violations)
+        cells = np.flatnonzero(mask)[:room]
+        for index in zip(*np.unravel_index(cells, mask.shape)):
+            self.violations.append(Violation(kind, *describe(*map(int, index))))
+
+    def report(self, **measured: Any) -> VerificationReport:
+        return VerificationReport(self.count == 0, self.violations, self.count, **measured)
 
 
 def verify_hopset(
@@ -108,43 +133,21 @@ def verify_hopset(
     dist = dist_all_pairs(g)
     dist_union = dist_all_pairs(g, hopset)
     dist_h = hop_limited_dist(g, hopset, h)
-    violations: list[Violation] = []
-    count = 0
-
-    decreased = dist_union < dist
-    for u, v in zip(*np.nonzero(decreased)):
-        count = _collect(
-            violations,
-            count,
-            Violation(
-                "distance-decreased",
-                (int(u), int(v)),
-                float(dist[u, v]),
-                float(dist_union[u, v]),
-            ),
-        )
-
-    finite = np.isfinite(dist)
-    over = finite & (
-        ~np.isfinite(dist_h)
-        | (dist_h * alpha.denominator > dist * alpha.numerator)
+    rec = _Recorder()
+    rec.add_where(
+        "distance-decreased",
+        dist_union < dist,
+        lambda u, v: ((u, v), float(dist[u, v]), float(dist_union[u, v])),
     )
-    for u, v in zip(*np.nonzero(over)):
-        count = _collect(
-            violations,
-            count,
-            Violation(
-                "stretch-exceeded",
-                (int(u), int(v)),
-                f"<= {alpha} * {float(dist[u, v])}",
-                float(dist_h[u, v]),
-            ),
-        )
-
-    return VerificationReport(
-        passed=count == 0,
-        violations=violations,
-        violation_count=count,
+    over = np.isfinite(dist) & (
+        ~np.isfinite(dist_h) | (dist_h * alpha.denominator > dist * alpha.numerator)
+    )
+    rec.add_where(
+        "stretch-exceeded",
+        over,
+        lambda u, v: ((u, v), f"<= {alpha} * {float(dist[u, v])}", float(dist_h[u, v])),
+    )
+    return rec.report(
         measured_stretch=max_stretch(dist, dist_h),
         measured_hopbound=_hop_radius(g, hopset),
     )
@@ -172,26 +175,13 @@ def verify_distance_preservation(
     _guard(g.vertex_count, ceiling)
     dist = dist_all_pairs(g)
     dist_union = dist_all_pairs(g, hopset)
-    violations: list[Violation] = []
-    count = 0
-    changed = dist_union != dist
-    for u, v in zip(*np.nonzero(changed)):
-        count = _collect(
-            violations,
-            count,
-            Violation(
-                "distance-changed",
-                (int(u), int(v)),
-                float(dist[u, v]),
-                float(dist_union[u, v]),
-            ),
-        )
-    return VerificationReport(
-        passed=count == 0,
-        violations=violations,
-        violation_count=count,
-        measured_hopbound=_hop_radius(g, hopset),
+    rec = _Recorder()
+    rec.add_where(
+        "distance-changed",
+        dist_union != dist,
+        lambda u, v: ((u, v), float(dist[u, v]), float(dist_union[u, v])),
     )
+    return rec.report(measured_hopbound=_hop_radius(g, hopset))
 
 
 def _hop_radius(g: DiGraph, extra: Optional[WeightedEdgeSet]) -> int:
@@ -253,35 +243,17 @@ def verify_shortcut(
     _guard(g.vertex_count, ceiling)
     if g.edge_count and g.lengths.max() != 1:
         raise ValueError("verify_shortcut expects unit edge lengths")
-    violations: list[Violation] = []
-    count = 0
-
-    reach_ok = pairs_reachable(g, shortcut.tails, shortcut.heads)
-    for i in np.flatnonzero(~reach_ok):
-        count = _collect(
-            violations,
-            count,
-            Violation(
-                "not-reachable-pair",
-                (int(shortcut.tails[i]), int(shortcut.heads[i])),
-                "reachable in G",
-                "unreachable",
-            ),
-        )
-
+    t, hd = shortcut.tails, shortcut.heads
+    rec = _Recorder()
+    rec.add_where(
+        "not-reachable-pair",
+        ~pairs_reachable(g, t, hd),
+        lambda i: ((int(t[i]), int(hd[i])), "reachable in G", "unreachable"),
+    )
     diam, witness = _farthest_pair(g, shortcut.with_unit_lengths())
     if diam > h:
-        count = _collect(
-            violations,
-            count,
-            Violation("hopbound-exceeded", witness, f"<= {h}", diam),
-        )
-    return VerificationReport(
-        passed=count == 0,
-        violations=violations,
-        violation_count=count,
-        measured_hopbound=diam,
-    )
+        rec.add("hopbound-exceeded", witness, f"<= {h}", diam)
+    return rec.report(measured_hopbound=diam)
 
 
 def verify_ldd(
@@ -292,49 +264,37 @@ def verify_ldd(
     strongly connected in G - E^rem (or a singleton), and each component
     has weak diameter at most d in G."""
     _guard(g.vertex_count, ceiling)
-    violations: list[Violation] = []
-    count = 0
-
+    rec = _Recorder()
     seen: dict[int, int] = {}
     for i, comp in enumerate(result.components):
         for v in comp:
             if v in seen or v < 0 or v >= g.vertex_count:
-                count = _collect(
-                    violations, count,
-                    Violation("not-a-partition", (v,), "exactly one component", i),
-                )
+                rec.add("not-a-partition", (v,), "exactly one component", i)
             seen[v] = i
     missing = [v for v in range(g.vertex_count) if v not in seen]
     if missing:
-        count = _collect(
-            violations, count,
-            Violation("not-a-partition", tuple(missing[:5]), "covered", "missing"),
-        )
+        rec.add("not-a-partition", tuple(missing[:5]), "covered", "missing")
     outside = [e for e in result.removed_edges if not 0 <= e < g.edge_count]
     if outside:
-        count = _collect(
-            violations, count,
-            Violation("removed-edge-out-of-range", tuple(outside[:5]), "an edge of G", "out of range"),
-        )
-    if count:
+        rec.add("removed-edge-out-of-range", tuple(outside[:5]), "an edge of G", "out of range")
+    if rec.count:
         # the remaining checks index by vertex and edge id
-        return VerificationReport(False, violations, count)
+        return rec.report()
 
     comp_of = np.empty(g.vertex_count, dtype=np.int64)
     for i, comp in enumerate(result.components):
         comp_of[list(comp)] = i
     remaining = result.remaining_graph(g)
-    backward = comp_of[remaining.tails] > comp_of[remaining.heads]
-    for i in np.flatnonzero(backward):
-        count = _collect(
-            violations, count,
-            Violation(
-                "topological-order",
-                (int(remaining.tails[i]), int(remaining.heads[i])),
-                "edge points to same or later component",
-                (int(comp_of[remaining.tails[i]]), int(comp_of[remaining.heads[i]])),
-            ),
-        )
+    t, hd = remaining.tails, remaining.heads
+    rec.add_where(
+        "topological-order",
+        comp_of[t] > comp_of[hd],
+        lambda i: (
+            (int(t[i]), int(hd[i])),
+            "edge points to same or later component",
+            (int(comp_of[t[i]]), int(comp_of[hd[i]])),
+        ),
+    )
 
     max_weak = 0
     dist = dist_all_pairs(g)
@@ -344,24 +304,13 @@ def verify_ldd(
             sub, _ = induced_subgraph(remaining, verts)
             z, _labels = connected_components(sub._csr, connection="strong")
             if z != 1:
-                count = _collect(
-                    violations, count,
-                    Violation("not-strongly-connected", (i,), 1, int(z)),
-                )
+                rec.add("not-strongly-connected", (i,), 1, int(z))
         wd = dist[np.ix_(verts, verts)].max()
         if not np.isfinite(wd) or wd > d:
-            count = _collect(
-                violations, count,
-                Violation("weak-diameter", (i,), f"<= {d}", float(wd)),
-            )
+            rec.add("weak-diameter", (i,), f"<= {d}", float(wd))
         else:
             max_weak = max(max_weak, int(wd))
-    return VerificationReport(
-        passed=count == 0,
-        violations=violations,
-        violation_count=count,
-        measured_hopbound=max_weak,
-    )
+    return rec.report(measured_hopbound=max_weak)
 
 
 def verify_clustered(
@@ -369,21 +318,12 @@ def verify_clustered(
 ) -> VerificationReport:
     """Every strongly connected component must have strong diameter <= d."""
     _guard(g.vertex_count, ceiling)
-    violations: list[Violation] = []
-    count = 0
+    rec = _Recorder()
     worst = 0
     for i, comp in enumerate(scc_topological(g)):
         sd = strong_diameter(g, comp) if len(comp) > 1 else 0
         if not np.isfinite(sd) or sd > d:
-            count = _collect(
-                violations, count,
-                Violation("strong-diameter", (i,), f"<= {d}", float(sd)),
-            )
+            rec.add("strong-diameter", (i,), f"<= {d}", float(sd))
         else:
             worst = max(worst, int(sd))
-    return VerificationReport(
-        passed=count == 0,
-        violations=violations,
-        violation_count=count,
-        measured_hopbound=worst,
-    )
+    return rec.report(measured_hopbound=worst)

@@ -20,6 +20,7 @@ from shallowcut.fileio import (
     FormatError,
     read_edge_set,
     read_graph,
+    read_weighted_edge_set,
     write_edge_set,
     write_graph,
     write_weighted_edge_set,
@@ -123,6 +124,23 @@ class TestFileIo:
         path.write_text("3 2 1\n0 1 1\n")
         with pytest.raises(FormatError):
             read_graph(path)
+
+    @pytest.mark.parametrize("read, text, message", [
+        (read_edge_set, "0 1\n\n1 2\n  \n", None),
+        (read_weighted_edge_set, "\n0 1 4\n1 2 1\n", None),
+        (read_edge_set, "0 1\n\n1 2 3\n", "line 3: expected 2 fields, got 3"),
+        (read_weighted_edge_set, "0 1 1\n\n1 x 2\n", "line 3: non-integer field"),
+        (read_weighted_edge_set, "0 1 1\n  \n\n1 2 0\n", "line 4: length 0 is below 1"),
+    ], ids=["pairs", "triples", "field-count", "non-integer", "length-0"])
+    def test_edge_set_lines(self, tmp_path, read, text, message):
+        # blank lines are skipped but still counted in the line numbers
+        path = tmp_path / "e.txt"
+        path.write_text(text)
+        if message is None:
+            assert [tuple(e)[:2] for e in read(path)] == [(0, 1), (1, 2)]
+        else:
+            with pytest.raises(FormatError, match=message):
+                read(path)
 
 
 class TestCliGen:

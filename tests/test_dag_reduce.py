@@ -1,4 +1,4 @@
-"""Clustered-DAG reduction: merging, stripping, the iteration loop."""
+"""Clustered-DAG reduction: validation, merging, stripping, the iteration loop."""
 
 from fractions import Fraction
 
@@ -12,10 +12,8 @@ from shallowcut import (
     GeneratorSpec,
     WeightedEdgeSet,
     generate,
-    merge_groups,
     reduce_clustered_dag,
     scc_topological,
-    strip_cross_edges,
     verify_clustered,
     verify_hopset,
 )
@@ -29,49 +27,27 @@ def clustered(g, diameter):
     return ClusteredInput(g, tuple(scc_topological(g)), diameter)
 
 
-class TestMergeGroups:
-    def test_single_group_fixed_point(self):
-        assert merge_groups([(0, 1)], 3) == [(0, 1)]
+class RecordingOracle(ExactTransitiveOracle):
+    """The exact oracle, keeping every call and its output."""
 
-    def test_27_singletons_lambda_3(self):
-        groups = [(i,) for i in range(27)]
-        merged = merge_groups(groups, 3)
-        assert len(merged) == 9
-        assert all(len(grp) == 3 for grp in merged)
+    def __init__(self, n):
+        super().__init__(n)
+        self.calls = []
 
-    def test_ceiling_arithmetic(self):
-        merged = merge_groups([(i,) for i in range(10)], 3)
-        assert [len(grp) for grp in merged] == [3, 3, 3, 1]
-
-    def test_rejects_small_lambda(self):
-        with pytest.raises(ValueError):
-            merge_groups([(0,)], 1)
-
-
-class TestStripCrossEdges:
-    def test_one_group_unchanged(self):
-        g = unit_path(3)
-        stripped = strip_cross_edges(g, [(0, 1, 2)])
-        assert stripped.edge_count == 2
-
-    def test_singletons_leave_nothing(self):
-        g = unit_path(3)
-        assert strip_cross_edges(g, [(0,), (1,), (2,)]).edge_count == 0
-
-    def test_forced_example(self):
-        g = unit_path(3)
-        stripped = strip_cross_edges(g, [(0, 1), (2,)])
-        assert list(stripped.edges()) == [(0, 1, 1)]
-
-    def test_requires_partition(self):
-        with pytest.raises(ValueError):
-            strip_cross_edges(unit_path(3), [(0, 1)])
+    def build(self, call, rng=None):
+        out = super().build(call, rng)
+        self.calls.append((call, out))
+        return out
 
 
 class TestClusteredInput:
     def test_validate_accepts_scc_order(self):
         g = generate(GeneratorSpec("scc-chain", blocks=4, block_size=3))
-        clustered(g, 3).validate()
+        cinput = clustered(g, 3)
+        group = cinput.validate()
+        for i, comp in enumerate(cinput.components_topo):
+            assert group[list(comp)].tolist() == [i] * len(comp)
+        assert len(group) == g.vertex_count
         assert verify_clustered(g, 3).passed
 
     def test_rejects_non_partition(self):
@@ -88,6 +64,22 @@ class TestClusteredInput:
         g = DiGraph.from_edges(2, [(0, 1, 1), (1, 0, 1)])
         with pytest.raises(ValueError):
             ClusteredInput(g, ((0,), (1,)), 4).validate()
+
+    # the partition cases list three vertex ids, as many as the graph has
+    @pytest.mark.parametrize("components, message", [
+        (((0, 1), (1,)), "partition"),
+        (((0, 1), (3,)), "partition"),
+        (((0, 1), (-1,)), "partition"),
+        (((0, 1), (), (2,)), "not the strongly connected"),
+        (((0, 1, 2), ()), "several SCCs"),  # as many components as SCCs
+        (((0, 1, 2),), "not the strongly connected"),
+    ])
+    def test_rejects_bad_component_lists(self, components, message):
+        # 0 <-> 1 is one SCC, 2 another, edge 1 -> 2 between them
+        g = DiGraph.from_edges(3, [(0, 1, 1), (1, 0, 1), (1, 2, 1)])
+        with pytest.raises(ValueError, match=message):
+            ClusteredInput(g, components, 4).validate()
+
 
 class TestReduceClusteredDag:
     def test_single_component_one_call(self):
@@ -111,12 +103,40 @@ class TestReduceClusteredDag:
         assert report.passed
         assert report.measured_stretch == 1
 
+    def test_group_count_not_a_power_of_lambda(self):
+        # 10 groups merge 3 at a time into 4, 2, then 1 (the last block of
+        # each round is shorter); each call sees G plus the earlier outputs
+        # with every edge between two merged blocks stripped
+        g = generate(GeneratorSpec("scc-chain", blocks=10, block_size=3))
+        oracle = RecordingOracle(g.vertex_count)
+        components = tuple(scc_topological(g))
+        _, trace = reduce_clustered_dag(
+            ClusteredInput(g, components, 3), oracle, 3, 4, Fraction(1, 2)
+        )
+        assert [r.group_count for r in trace.iterations] == [10, 4, 2, 1]
+        acc = WeightedEdgeSet.empty()
+        for r, (rec, (call, out)) in enumerate(zip(trace.iterations, oracle.calls, strict=True)):
+            block = {v: i // 3**r for i, comp in enumerate(components) for v in comp}
+            kept = sorted(e for e in g.with_extra(acc).edges() if block[e[0]] == block[e[1]])
+            assert sorted(call.graph.edges()) == kept
+            assert rec.stripped_edge_count == len(kept)
+            acc = WeightedEdgeSet.union(acc, out)
+        assert [r.stripped_edge_count for r in trace.iterations] == [30, 96, 179, 423]
+
+    def test_rejects_lambda_one(self):
+        g = unit_path(3)
+        with pytest.raises(ValueError, match="lambda"):
+            reduce_clustered_dag(clustered(g, 1), ExactTransitiveOracle(3), 1, 4, Fraction(1))
+
     def test_path_singletons_with_wide_lambda(self):
         g = unit_path(64)
         oracle = ExactTransitiveOracle(64)
         hopset, trace = reduce_clustered_dag(
             clustered(g, 1), oracle, 9, 4, Fraction(1, 2)
         )
+        # singleton groups keep no edge
+        assert [r.group_count for r in trace.iterations] == [64, 8, 1]
+        assert trace.iterations[0].stripped_edge_count == 0
         report = verify_hopset(g, hopset, Fraction(3, 2) ** trace.oracle_calls, 4)
         assert report.passed
         assert report.measured_stretch == 1

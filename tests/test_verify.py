@@ -166,6 +166,33 @@ class TestVerifyHopset:
         with pytest.raises(SizeCeilingError):
             verify_hopset(unit_path(30), WeightedEdgeSet.empty(), 1, 29, ceiling=10)
 
+    def test_keeps_the_first_violations_across_two_kinds(self):
+        # a hopset edge 2 -> n-3 of length 1 shortens the 9 pairs (u <= 2,
+        # v >= n-3); at h = 1 every pair two or more hops apart on the path,
+        # but (2, n-3), exceeds the stretch
+        n = 24
+        report = verify_hopset(unit_path(n), WeightedEdgeSet.from_triples([(2, n - 3, 1)]), 1, 1)
+        u, v = np.indices((n, n))
+        dist = np.where(v >= u, v - u, np.inf)
+        via = np.where((u <= 2) & (v >= n - 3), (2 - u) + 1 + (v - (n - 3)), np.inf)
+        decreased = via < dist
+        one_hop = (v == u) | (v == u + 1) | ((u == 2) & (v == n - 3))
+        over = np.isfinite(dist) & ~one_hop
+        assert report.violation_count == decreased.sum() + over.sum() == 9 + 252
+        expected = [
+            (kind, (int(a), int(b)))
+            for kind, mask in [("distance-decreased", decreased), ("stretch-exceeded", over)]
+            for a, b in zip(*np.nonzero(mask))
+        ]
+        kept = [(x.kind, x.witness) for x in report.violations]
+        assert len(kept) == verify._MAX_RECORDED == 100
+        assert kept == expected[:100]
+        first_decreased, first_over = report.violations[0], report.violations[9]
+        assert (first_decreased.expected, first_decreased.actual) == (21.0, 3.0)
+        assert (first_over.witness, first_over.expected, first_over.actual) == (
+            (0, 2), "<= 1 * 2.0", float("inf")
+        )
+
 
 class TestVerifyDistancePreservation:
     def test_honest_edge_passes(self):
