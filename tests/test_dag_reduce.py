@@ -40,6 +40,61 @@ class RecordingOracle(ExactTransitiveOracle):
         return out
 
 
+def call_edges(g, components, lam):
+    """Run the reduction with the exact oracle; return each call's edge list."""
+    oracle = RecordingOracle(g.vertex_count)
+    _, trace = reduce_clustered_dag(
+        ClusteredInput(g, components, 1), oracle, lam, 4, Fraction(1, 2)
+    )
+    return trace, [sorted(call.graph.edges()) for call, _ in oracle.calls]
+
+
+def singletons(n):
+    return tuple((v,) for v in range(n))
+
+
+class TestMergeGroups:
+    def test_single_group_fixed_point(self):
+        g = DiGraph.from_edges(2, [(0, 1, 1), (1, 0, 1)])
+        trace, calls = call_edges(g, ((0, 1),), 3)
+        assert [r.group_count for r in trace.iterations] == [1]
+        assert calls == [[(0, 1, 1), (1, 0, 1)]]
+
+    def test_27_singletons_lambda_3(self):
+        trace, calls = call_edges(unit_path(27), singletons(27), 3)
+        assert [r.group_count for r in trace.iterations] == [27, 9, 3, 1]
+        # the second call sees nine blocks of three: two path edges each
+        assert calls[1] == [(i, i + 1, 1) for i in range(26) if i % 3 != 2]
+
+    def test_ceiling_arithmetic(self):
+        trace, calls = call_edges(unit_path(10), singletons(10), 3)
+        assert [r.group_count for r in trace.iterations] == [10, 4, 2, 1]
+        # blocks {0,1,2} {3,4,5} {6,7,8} {9}: the last one is shorter
+        assert calls[1] == [(0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1), (6, 7, 1), (7, 8, 1)]
+
+
+class TestStripCrossEdges:
+    def test_one_group_unchanged(self):
+        g = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+        _, calls = call_edges(g, ((0, 1, 2),), 3)
+        assert calls == [sorted(g.edges())]
+
+    def test_singletons_leave_nothing(self):
+        trace, calls = call_edges(unit_path(3), singletons(3), 3)
+        assert calls[0] == []
+        assert trace.iterations[0].stripped_edge_count == 0
+
+    def test_forced_example(self):
+        # SCC {0, 1} then {2}: the first call keeps the cycle, drops 1 -> 2
+        g = DiGraph.from_edges(3, [(0, 1, 1), (1, 0, 1), (1, 2, 1)])
+        _, calls = call_edges(g, ((0, 1), (2,)), 3)
+        assert calls[0] == [(0, 1, 1), (1, 0, 1)]
+
+    def test_requires_partition(self):
+        with pytest.raises(ValueError, match="partition"):
+            call_edges(unit_path(3), ((0, 1),), 3)
+
+
 class TestClusteredInput:
     def test_validate_accepts_scc_order(self):
         g = generate(GeneratorSpec("scc-chain", blocks=4, block_size=3))
