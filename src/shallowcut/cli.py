@@ -17,7 +17,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -57,28 +56,6 @@ EXIT_USAGE = 2
 
 class CliError(Exception):
     """Invalid invocation; mapped to exit code 2."""
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record for one pipeline run."""
-
-    config: dict
-    input_path: str
-    input_sha256: str
-    output_paths: dict
-    versions: dict = field(default_factory=dict)
-    stage_seconds: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "config": self.config,
-            "input_path": self.input_path,
-            "input_sha256": self.input_sha256,
-            "output_paths": self.output_paths,
-            "versions": self.versions,
-            "stage_seconds": self.stage_seconds,
-        }
 
 
 def _versions() -> dict:
@@ -274,8 +251,9 @@ def _cmd_reduce(args) -> int:
         write_weighted_edge_set(report.hopset, edges_path)
     report_path = out / "report.json"
     report_path.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
-    manifest = RunManifest(
-        config={
+    # the reproducibility record of this run
+    manifest = {
+        "config": {
             "mode": args.mode,
             "lambda": cfg.lam,
             "h": cfg.h,
@@ -284,15 +262,13 @@ def _cmd_reduce(args) -> int:
             "reps": cfg.ldd_repetitions,
             "oracle": args.oracle,
         },
-        input_path=str(graph_path),
-        input_sha256=_sha256(graph_path),
-        output_paths={"edges": str(edges_path), "report": str(report_path)},
-        versions=_versions(),
-        stage_seconds=stage_seconds,
-    )
-    (out / "manifest.json").write_text(
-        json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n"
-    )
+        "input_path": str(graph_path),
+        "input_sha256": _sha256(graph_path),
+        "output_paths": {"edges": str(edges_path), "report": str(report_path)},
+        "versions": _versions(),
+        "stage_seconds": stage_seconds,
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     if report.verification is None:
         verified = "skipped"
     else:

@@ -3,13 +3,15 @@ diameter and reachability primitives everything else is built on.
 
 Distances are kept as float64 matrices with ``numpy.inf`` as the
 unreachable sentinel; all finite entries are exact integers (edge lengths
-are bounded by N which is polynomial in n, far below 2**53).
+are bounded by N which is polynomial in n, far below 2**53). Hopsets and
+shortcuts share one canonical edge-row format (sorted, unique, read-only
+int64 columns that compare by value), whose one home is _EdgeRows.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -30,6 +32,14 @@ def _as_int_array(values, name: str) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     return arr
+
+
+def _columns_of(rows: Iterable[tuple[int, ...]], width: int) -> tuple[np.ndarray, ...]:
+    """The int64 columns of a list of row tuples of the given width."""
+    rows = list(rows)
+    if not rows:
+        return tuple(np.empty(0, dtype=_INT) for _ in range(width))
+    return tuple(np.array(col, dtype=_INT) for col in zip(*rows))
 
 
 @dataclass(frozen=True)
@@ -69,14 +79,8 @@ class DiGraph:
         edges: Iterable[tuple[int, int, int]],
         max_length_bound: Optional[int] = None,
     ) -> "DiGraph":
-        triples = list(edges)
-        if triples:
-            t, h, w = (np.array(col, dtype=_INT) for col in zip(*triples))
-        else:
-            t = h = w = np.empty(0, dtype=_INT)
-        if max_length_bound is None:
-            max_length_bound = int(w.max()) if len(w) else 1
-        return cls(vertex_count, t, h, w, max_length_bound)
+        t, h, w = _columns_of(edges, 3)
+        return cls.from_arrays(vertex_count, t, h, w, max_length_bound)
 
     @classmethod
     def from_arrays(
@@ -179,58 +183,56 @@ def _sorted_unique(*columns: np.ndarray, key_columns: Optional[int] = None) -> t
     return tuple(out[::-1])
 
 
-@dataclass(frozen=True)
-class WeightedEdgeSet:
-    """A hopset: weighted extra edges over some graph's vertex set.
-
-    Stored canonically as lexicographically sorted unique (tail, head,
-    length) triples, so equal sets compare equal and file dumps are
-    byte-stable.
+class _EdgeRows:
+    """The canonical edge-row format behind WeightedEdgeSet and EdgeSet: one
+    read-only int64 column per dataclass field (tails, heads, ...), the rows
+    in lexicographic order and unique, so equal sets compare equal and file
+    dumps are byte-stable. Two sets are equal when they have the same type
+    and equal columns.
     """
+
+    def __post_init__(self):
+        for column in self._columns():
+            column.setflags(write=False)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    @classmethod
+    def empty(cls):
+        return cls(*(np.empty(0, dtype=_INT) for _ in fields(cls)))
+
+    @classmethod
+    def from_arrays(cls, *columns):
+        """The set of the given rows, one array-like column per field."""
+        named = zip(columns, fields(cls), strict=True)
+        return cls(*_sorted_unique(*(_as_int_array(c, f.name) for c, f in named)))
+
+    def __len__(self) -> int:
+        return len(self.tails)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        for row in zip(*self._columns()):
+            yield tuple(map(int, row))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(np.array_equal, self._columns(), other._columns()))
+
+
+@dataclass(frozen=True, eq=False)
+class WeightedEdgeSet(_EdgeRows):
+    """A hopset: weighted extra edges over some graph's vertex set, as
+    canonical (tail, head, length) rows."""
 
     tails: np.ndarray
     heads: np.ndarray
     lengths: np.ndarray
 
-    def __post_init__(self):
-        for name in ("tails", "heads", "lengths"):
-            getattr(self, name).setflags(write=False)
-
-    @classmethod
-    def empty(cls) -> "WeightedEdgeSet":
-        z = np.empty(0, dtype=_INT)
-        return cls(z, z.copy(), z.copy())
-
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[int, int, int]]) -> "WeightedEdgeSet":
-        rows = list(triples)
-        if not rows:
-            return cls.empty()
-        t, h, w = (np.array(col, dtype=_INT) for col in zip(*rows))
-        return cls.from_arrays(t, h, w)
-
-    @classmethod
-    def from_arrays(cls, tails, heads, lengths) -> "WeightedEdgeSet":
-        t = _as_int_array(tails, "tails")
-        h = _as_int_array(heads, "heads")
-        w = _as_int_array(lengths, "lengths")
-        return cls(*_sorted_unique(t, h, w))
-
-    def __len__(self) -> int:
-        return len(self.tails)
-
-    def __iter__(self) -> Iterator[tuple[int, int, int]]:
-        for t, h, w in zip(self.tails, self.heads, self.lengths):
-            yield (int(t), int(h), int(w))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeightedEdgeSet):
-            return NotImplemented
-        return (
-            np.array_equal(self.tails, other.tails)
-            and np.array_equal(self.heads, other.heads)
-            and np.array_equal(self.lengths, other.lengths)
-        )
+        return cls.from_arrays(*_columns_of(triples, 3))
 
     @staticmethod
     def union(*sets: "WeightedEdgeSet") -> "WeightedEdgeSet":
@@ -247,9 +249,7 @@ class WeightedEdgeSet:
         """Keep only the lightest edge for each (tail, head) pair."""
         if len(self) == 0:
             return self
-        return WeightedEdgeSet(
-            *_sorted_unique(self.tails, self.heads, self.lengths, key_columns=2)
-        )
+        return WeightedEdgeSet(*_sorted_unique(*self._columns(), key_columns=2))
 
     def scaled(self, factor: int) -> "WeightedEdgeSet":
         if factor == 1 or len(self) == 0:
@@ -257,49 +257,16 @@ class WeightedEdgeSet:
         return WeightedEdgeSet(self.tails, self.heads, (self.lengths * factor).copy())
 
 
-@dataclass(frozen=True)
-class EdgeSet:
-    """A shortcut: unweighted extra edges, canonically sorted and unique."""
+@dataclass(frozen=True, eq=False)
+class EdgeSet(_EdgeRows):
+    """A shortcut: unweighted extra edges, as canonical (tail, head) rows."""
 
     tails: np.ndarray
     heads: np.ndarray
 
-    def __post_init__(self):
-        self.tails.setflags(write=False)
-        self.heads.setflags(write=False)
-
-    @classmethod
-    def empty(cls) -> "EdgeSet":
-        z = np.empty(0, dtype=_INT)
-        return cls(z, z.copy())
-
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "EdgeSet":
-        rows = list(pairs)
-        if not rows:
-            return cls.empty()
-        t, h = (np.array(col, dtype=_INT) for col in zip(*rows))
-        return cls.from_arrays(t, h)
-
-    @classmethod
-    def from_arrays(cls, tails, heads) -> "EdgeSet":
-        t = _as_int_array(tails, "tails")
-        h = _as_int_array(heads, "heads")
-        return cls(*_sorted_unique(t, h))
-
-    def __len__(self) -> int:
-        return len(self.tails)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        for t, h in zip(self.tails, self.heads):
-            yield (int(t), int(h))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EdgeSet):
-            return NotImplemented
-        return np.array_equal(self.tails, other.tails) and np.array_equal(
-            self.heads, other.heads
-        )
+        return cls.from_arrays(*_columns_of(pairs, 2))
 
     def with_unit_lengths(self) -> WeightedEdgeSet:
         return WeightedEdgeSet(
@@ -321,14 +288,13 @@ def dist_from_sources(
     g: DiGraph,
     sources: Optional[Sequence[int]],
     extra: Optional[WeightedEdgeSet] = None,
-    limit: float = INF,
 ) -> np.ndarray:
     gu = g.with_extra(extra)
     if gu.vertex_count == 0:
         k = 0 if sources is None else len(sources)
         return np.zeros((k, 0))
     indices = None if sources is None else np.asarray(sources, dtype=_INT)
-    return dijkstra(gu._csr, directed=True, indices=indices, limit=limit)
+    return dijkstra(gu._csr, directed=True, indices=indices)
 
 
 def hop_limited_dist(

@@ -199,6 +199,61 @@ class TestEdgeSets:
         assert list(es.with_unit_lengths()) == [(0, 1, 1)]
 
 
+@pytest.mark.parametrize(
+    "cls,from_rows,names",
+    [
+        pytest.param(EdgeSet, EdgeSet.from_pairs, ("tails", "heads"), id="EdgeSet"),
+        pytest.param(
+            WeightedEdgeSet,
+            WeightedEdgeSet.from_triples,
+            ("tails", "heads", "lengths"),
+            id="WeightedEdgeSet",
+        ),
+    ],
+)
+class TestEdgeRowContract:
+    """The canonical edge-row format that both edge-set types share."""
+
+    ROWS = [(2, 0, 1), (0, 1, 1), (2, 0, 1)]
+
+    def rows(self, names):
+        return [row[: len(names)] for row in self.ROWS]
+
+    def test_columns_are_read_only(self, cls, from_rows, names):
+        es = from_rows(self.rows(names))
+        for name in names:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(es, name)[0] = 7
+
+    def test_empty_is_the_set_of_no_rows(self, cls, from_rows, names):
+        empty = cls.empty()
+        assert len(empty) == 0 and list(empty) == []
+        assert empty == from_rows([])
+        assert empty == cls.from_arrays(*(np.empty(0, dtype=np.int64) for _ in names))
+        assert [getattr(empty, name).dtype for name in names] == [np.int64] * len(names)
+
+    def test_iteration_yields_python_ints(self, cls, from_rows, names):
+        got = list(from_rows(self.rows(names)))
+        assert got == sorted(set(self.rows(names)))
+        assert all(type(x) is int for row in got for x in row)
+
+    def test_equal_only_to_the_same_type(self, cls, from_rows, names):
+        es = from_rows(self.rows(names))
+        assert es == from_rows(self.rows(names)[::-1])
+        pairs = EdgeSet.from_pairs(self.rows(("tails", "heads")))
+        other = pairs.with_unit_lengths() if cls is EdgeSet else pairs
+        assert [row[:2] for row in other] == [row[:2] for row in es]
+        assert es != other and other != es
+        assert not es == tuple(es)
+
+    def test_two_dimensional_column_is_rejected(self, cls, from_rows, names):
+        for i, name in enumerate(names):
+            columns = [np.arange(3)] * len(names)
+            columns[i] = np.zeros((3, 1), dtype=np.int64)
+            with pytest.raises(ValueError, match=f"^{name} must be one-dimensional$"):
+                cls.from_arrays(*columns)
+
+
 class TestCanonicalSort:
     """The packed-key sort behind the edge sets and the CSR builder, checked
     against np.lexsort on empty, duplicate-heavy and overflowing inputs."""
