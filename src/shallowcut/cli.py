@@ -41,6 +41,7 @@ from .ldd import LddParams, LddResult, estimate_removal_probability, low_diamete
 from .oracles import ExactReachabilityOracle, ExactTransitiveOracle, HubSamplingOracle
 from .shallow_reduce import ReductionConfig, reduce_hopset, reduce_shortcut
 from .verify import (
+    DEFAULT_CEILING,
     SizeCeilingError,
     verify_clustered,
     verify_distance_preservation,
@@ -112,12 +113,18 @@ def _load_edges(path: str, read, n: int):
     return edges
 
 
+def _json_int(value) -> int:
+    if type(value) is not int:  # a JSON float, string or boolean
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
 def _load_decomposition(path: str) -> LddResult:
     try:
         data = json.loads(Path(path).read_text())
         return LddResult(
-            tuple(int(e) for e in data["removed_edges"]),
-            tuple(tuple(int(v) for v in c) for c in data["components"]),
+            tuple(map(_json_int, data["removed_edges"])),
+            tuple(tuple(map(_json_int, c)) for c in data["components"]),
         )
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot read decomposition {path}: {exc!r}") from exc
@@ -349,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--c", type=int, default=2)
     p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--ceiling", type=int, default=2000)
+    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
     _add_common(p)
     p.set_defaults(func=_cmd_ldd)
 
@@ -365,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_reduce_config(p)
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--no-verify", action="store_true")
-    p.add_argument("--ceiling", type=int, default=2000)
+    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
     _add_common(p)
     p.set_defaults(func=_cmd_reduce)
 
@@ -377,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="1")
     p.add_argument("--h", type=int, default=1)
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--ceiling", type=int, default=2000)
+    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
     return parser

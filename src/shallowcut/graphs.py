@@ -6,6 +6,10 @@ unreachable sentinel; all finite entries are exact integers (edge lengths
 are bounded by N which is polynomial in n, far below 2**53). Hopsets and
 shortcuts share one canonical edge-row format (sorted, unique, read-only
 int64 columns that compare by value), whose one home is _EdgeRows.
+
+A DiGraph never changes, so what is derived from it (its CSR matrices, its
+condensation closure, the LDD's adjacency at each d) is built on first use
+and kept on the graph, read-only, for as long as the graph lives.
 """
 
 from __future__ import annotations
@@ -113,7 +117,15 @@ class DiGraph:
 
     @cached_property
     def _csr_rev(self) -> sp.csr_matrix:
+        """The same for the reversed graph: row v lists v's in-edges."""
         return _min_csr(self.vertex_count, self.heads, self.tails, self.lengths)
+
+    def _derived(self, key, build):
+        """build(self) on the first call with this key, then kept on the graph."""
+        kept = self.__dict__.setdefault("_kept", {})
+        if key not in kept:
+            kept[key] = build(self)
+        return kept[key]
 
     def edge_subset(self, keep: np.ndarray) -> "DiGraph":
         """Same vertices and length bound, only the edges where keep is True."""
@@ -138,12 +150,13 @@ class DiGraph:
 
 def _min_csr(n: int, tails: np.ndarray, heads: np.ndarray, lengths: np.ndarray) -> sp.csr_matrix:
     keep = tails != heads
-    if not keep.any():
-        return sp.csr_matrix((n, n))
     # one row per (tail, head) pair, the lightest, already in CSR order
     t, h, w = _sorted_unique(tails[keep], heads[keep], lengths[keep], key_columns=2)
     indptr = np.searchsorted(t, np.arange(n + 1, dtype=_INT))
-    return sp.csr_matrix((w.astype(np.float64), h, indptr), shape=(n, n))
+    mat = sp.csr_matrix((w.astype(np.float64), h, indptr), shape=(n, n))
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.setflags(write=False)
+    return mat
 
 
 def _sorted_unique(*columns: np.ndarray, key_columns: Optional[int] = None) -> tuple[np.ndarray, ...]:
@@ -306,29 +319,24 @@ def hop_limited_dist(
     """h-restricted distances of G union extra, by h rounds of synchronous
     relaxation over all edges (self-loops skipped).
 
-    Edges are sorted by head once, so each round takes the minimum over
-    every head's in-edges with one reduceat. Monotone nonincreasing in h,
-    and equal to dist_all_pairs once h >= n - 1 on the union graph.
+    The union graph's reverse CSR lists each head's in-edges, the lightest
+    per (tail, head) pair, so each round takes the minimum over every head's
+    in-edges with one reduceat. Monotone nonincreasing in h, and equal to
+    dist_all_pairs once h >= n - 1 on the union graph.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
     gu = g.with_extra(extra)
     n = gu.vertex_count
-    if sources is None:
-        sources = np.arange(n, dtype=_INT)
-    else:
-        sources = np.asarray(sources, dtype=_INT)
+    sources = np.arange(n, dtype=_INT) if sources is None else np.asarray(sources, dtype=_INT)
     dist = np.full((len(sources), n), INF)
     dist[np.arange(len(sources)), sources] = 0.0
-    keep = gu.tails != gu.heads
-    if not keep.any():
+    rev = gu._csr_rev
+    if rev.nnz == 0:
         return dist
-    order = np.argsort(gu.heads[keep], kind="stable")
-    tails = gu.tails[keep][order]
-    heads = gu.heads[keep][order]
-    weights = gu.lengths[keep][order].astype(np.float64)[:, None]
-    starts = np.flatnonzero(np.concatenate(([True], heads[1:] != heads[:-1])))
-    targets = heads[starts]
+    tails, weights = rev.indices, rev.data[:, None]
+    targets = np.flatnonzero(np.diff(rev.indptr))
+    starts = rev.indptr[targets]
     dist_t = np.ascontiguousarray(dist.T)  # (vertex, source): rows gather fast
     for _ in range(h):
         best = np.minimum.reduceat(dist_t[tails] + weights, starts, axis=0)
@@ -391,7 +399,8 @@ def _topo_order_of_components(ptr: np.ndarray, succ: np.ndarray) -> list[int]:
 
 def condensation_closure(g: DiGraph) -> tuple[np.ndarray, np.ndarray]:
     """Strong-component labels of g and the vertex sets its components
-    reach: u reaches v exactly when bit v of rows[labels[u]] is set.
+    reach: u reaches v exactly when bit v of rows[labels[u]] is set. Built
+    by _closure on first use and kept on g, both arrays read-only.
 
     rows is z x ceil(n/8) uint8 for z components, packed as
     np.packbits(..., bitorder="little") packs: vertex v is bit v & 7 of
@@ -404,9 +413,11 @@ def condensation_closure(g: DiGraph) -> tuple[np.ndarray, np.ndarray]:
     Python int while it is ORed, and only components with successors are
     visited.
     """
+    return g._derived("closure", _closure)
+
+
+def _closure(g: DiGraph) -> tuple[np.ndarray, np.ndarray]:
     n = g.vertex_count
-    if n == 0:
-        return np.empty(0, dtype=_INT), np.zeros((0, 0), dtype=np.uint8)
     z, labels = connected_components(g._csr, connection="strong", directed=True)
     ptr, succ = _condensation_succs(labels, z, g.tails, g.heads)
     if (succ < np.repeat(np.arange(z), np.diff(ptr))).all():
@@ -425,6 +436,7 @@ def condensation_closure(g: DiGraph) -> tuple[np.ndarray, np.ndarray]:
             rows[c] = r
     width = (n + 7) // 8
     packed = b"".join([r.to_bytes(width, "little") for r in rows])
+    labels.setflags(write=False)
     return labels, np.frombuffer(packed, dtype=np.uint8).reshape(z, width)
 
 

@@ -149,8 +149,8 @@ class ExactReachabilityOracle:
 def shortcut_as_hopset(shortcut: EdgeSet, g: DiGraph) -> WeightedEdgeSet:
     """Wrap a reachability-only shortcut as hopset edges of length 1
     (lengths then carry no distance meaning). Edges between unreachable
-    pairs are rejected: they would not be shortcut edges at all.
-    """
+    pairs are rejected: they would not be shortcut edges at all. The check
+    reads the closure kept on g, which the exact oracle has built already."""
     if len(shortcut) == 0:
         return WeightedEdgeSet.empty()
     ok = pairs_reachable(g, shortcut.tails, shortcut.heads)

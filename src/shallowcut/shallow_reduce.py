@@ -24,7 +24,7 @@ import numpy as np
 
 from .dag_reduce import ClusteredInput, reduce_clustered_dag
 from .graphs import DiGraph, EdgeSet, WeightedEdgeSet, dist_all_pairs, hop_limited_dist
-from .ldd import LddParams, low_diameter_decomposition, shared_adjacency
+from .ldd import LddParams, low_diameter_decomposition
 from .oracles import ShallowOracle, ShortcutOracleAdapter
 from .verify import VerificationReport, _hop_radius, max_stretch
 
@@ -231,32 +231,28 @@ def run_phase(
     else:
         scaled = scale_down_graph(g_prev, plan.phase_index, cfg.eps)
     outputs = []
-    # the repetitions decompose the same graph at the same d
-    with shared_adjacency():
-        for r in range(reps):
-            key = (plan.epoch_index, plan.phase_index, r)
-            ldd_seed = np.random.SeedSequence(cfg.seed, spawn_key=key + (0,))
-            dag_seed = np.random.SeedSequence(cfg.seed, spawn_key=key + (1,))
-            result = low_diameter_decomposition(
-                scaled, LddParams(d=d), seed_seq=ldd_seed
-            )
-            stars = build_stars(result.components, d)
-            clustered = result.remaining_graph(scaled).with_extra(stars)
-            cinput = ClusteredInput(clustered, tuple(result.components), cfg.lam * cfg.h)
-            hopset, dag_trace = reduce_clustered_dag(
-                cinput, oracle, cfg.lam, cfg.h, cfg.eps, seed_seq=dag_seed
-            )
-            sample = WeightedEdgeSet.union(hopset, stars).scaled(plan.sigma)
-            outputs.append(sample)
-            trace.repetitions.append(
-                {
-                    "removed_edges": len(result.removed_edges),
-                    "components": len(result.components),
-                    "oracle_calls": dag_trace.oracle_calls,
-                    "sample_size": len(sample),
-                    "dag_iterations": [rec.to_json() for rec in dag_trace.iterations],
-                }
-            )
+    for r in range(reps):
+        key = (plan.epoch_index, plan.phase_index, r)
+        ldd_seed = np.random.SeedSequence(cfg.seed, spawn_key=key + (0,))
+        dag_seed = np.random.SeedSequence(cfg.seed, spawn_key=key + (1,))
+        result = low_diameter_decomposition(scaled, LddParams(d=d), seed_seq=ldd_seed)
+        stars = build_stars(result.components, d)
+        clustered = result.remaining_graph(scaled).with_extra(stars)
+        cinput = ClusteredInput(clustered, tuple(result.components), cfg.lam * cfg.h)
+        hopset, dag_trace = reduce_clustered_dag(
+            cinput, oracle, cfg.lam, cfg.h, cfg.eps, seed_seq=dag_seed
+        )
+        sample = WeightedEdgeSet.union(hopset, stars).scaled(plan.sigma)
+        outputs.append(sample)
+        trace.repetitions.append(
+            {
+                "removed_edges": len(result.removed_edges),
+                "components": len(result.components),
+                "oracle_calls": dag_trace.oracle_calls,
+                "sample_size": len(sample),
+                "dag_iterations": [rec.to_json() for rec in dag_trace.iterations],
+            }
+        )
     union = WeightedEdgeSet.union(*outputs) if outputs else WeightedEdgeSet.empty()
     trace.output_size = len(union)
     return union, trace

@@ -284,7 +284,9 @@ def verify_ldd(
     comp_of = np.empty(g.vertex_count, dtype=np.int64)
     for i, comp in enumerate(result.components):
         comp_of[list(comp)] = i
-    remaining = result.remaining_graph(g)
+    keep = np.ones(g.edge_count, dtype=bool)
+    keep[list(result.removed_edges)] = False
+    remaining = g.edge_subset(keep)
     t, hd = remaining.tails, remaining.heads
     rec.add_where(
         "topological-order",

@@ -364,10 +364,18 @@ class TestCliVerify:
             (["--kind", "ldd", "--decomposition", "missing.json"], None),
             (["--kind", "ldd", "--decomposition", "d.json"], '{"removed_edges": [],'),
             (["--kind", "ldd", "--decomposition", "d.json"], '{"removed_edges": []}'),
+            (["--kind", "ldd", "--decomposition", "d.json"],
+             '{"removed_edges": [], "components": [[0.9], [1], [2], [3]]}'),
+            (["--kind", "ldd", "--decomposition", "d.json"],
+             '{"removed_edges": [], "components": [["0"], [1], [2], [3]]}'),
+            (["--kind", "ldd", "--decomposition", "d.json"],
+             '{"removed_edges": [], "components": [[0], [true], [2], [3]]}'),
+            (["--kind", "ldd", "--decomposition", "d.json"],
+             '{"removed_edges": [0.5], "components": [[0], [1], [2], [3]]}'),
         ],
         ids=["missing-edges", "shortcut-vertex-9", "hopset-vertex-9", "hopset-length-0",
              "hopset-length-minus-3", "missing-decomposition", "malformed-json",
-             "missing-key"],
+             "missing-key", "float-vertex", "string-vertex", "bool-vertex", "float-edge"],
     )
     def test_bad_input_file_exits_two(self, tmp_path, capsys, args, text):
         graph = tmp_path / "g.txt"

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from shallowcut import (
     DiGraph,
     EdgeSet,
+    LddParams,
     WeightedEdgeSet,
     dist_all_pairs,
     hop_limited_dist,
+    low_diameter_decomposition,
     pairs_reachable,
     reachable_pairs,
     scc_topological,
@@ -59,6 +61,21 @@ def closure_graphs(draw, max_n=20, max_m=50):
 
 def unit_path(n):
     return DiGraph.from_edges(n, [(i, i + 1, 1) for i in range(n - 1)])
+
+
+def kept_arrays(obj):
+    """Every numpy array inside obj: dict values, tuple and list items, and
+    the three arrays of a scipy sparse matrix."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif sp.issparse(obj):
+        yield from (obj.data, obj.indices, obj.indptr)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from kept_arrays(value)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from kept_arrays(item)
 
 
 def vertex_reach(labels, rows, n):
@@ -167,6 +184,26 @@ class TestDiGraph:
         g2 = g.with_extra(extra)
         assert g.edge_count == 2
         assert g2.edge_count == 3
+
+    @pytest.mark.parametrize(
+        "edges", [[(0, 1, 2), (1, 0, 1), (1, 2, 3), (2, 2, 1), (2, 3, 1)], [], [(1, 1, 1)]],
+        ids=["cycle-and-loop", "edgeless", "loop-only"],
+    )
+    def test_kept_arrays_are_read_only(self, edges):
+        g = DiGraph.from_edges(4, edges, max_length_bound=3)
+        # build everything a graph keeps: both CSR matrices, the closure and
+        # the LDD's adjacency
+        low_diameter_decomposition(g, LddParams(d=8))
+        hop_limited_dist(g, None, 2)
+        pairs_reachable(g, np.array([0]), np.array([3]))
+        assert {"_csr", "_csr_rev", "_kept"} <= set(vars(g))
+        kept = list(kept_arrays(vars(g)))
+        # tails, heads, lengths; data, indices, indptr twice; labels and rows
+        assert len(kept) == 11
+        for arr in kept:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
 
 
 class TestEdgeSets:
@@ -522,10 +559,12 @@ class TestCondensationClosure:
             calls.append(len(succ))
             return topo(ptr, succ)
 
+        # a fresh graph object: g keeps the closure computed above
+        fresh = DiGraph(n, g.tails, g.heads, g.lengths, g.max_length_bound)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graphs, "connected_components", reversed_labels)
             mp.setattr(graphs, "_topo_order_of_components", recording)
-            labels2, rows2 = condensation_closure(g)
+            labels2, rows2 = condensation_closure(fresh)
         assert np.array_equal(labels2, len(rows) - 1 - labels)
         assert np.array_equal(vertex_reach(labels2, rows2, n), vertex_reach(labels, rows, n))
         # every condensation edge now points to a larger label

@@ -22,7 +22,7 @@ from shallowcut import (
     verify_ldd,
 )
 from shallowcut import ldd
-from shallowcut.ldd import _Seed, shared_adjacency
+from shallowcut.ldd import _Seed
 
 
 def unit_path(n):
@@ -439,29 +439,38 @@ class TestSharedAdjacency:
         built = self._counting(monkeypatch)
         g = random_digraph(60, 200, 4, seed=2)
 
-        def run(d, t):
+        def run(graph, d, t):
             return low_diameter_decomposition(
-                g, LddParams(d=d), seed_seq=np.random.SeedSequence(0, spawn_key=(t,))
+                graph, LddParams(d=d), seed_seq=np.random.SeedSequence(0, spawn_key=(t,))
             )
 
-        alone = [run(16, t) for t in range(3)]
-        assert len(built) == 6  # forward and reverse, every call
+        first = [run(g, 16, t) for t in range(3)]
+        assert built == [8, 8]  # forward and reverse, once
+        run(g, 12, 0)
+        assert built == [8, 8, 6, 6]
+        # kept for as long as the graph lives: later calls at either d build nothing
+        assert [run(g, 16, t) for t in range(3)] == first
+        run(g, 12, 1)
+        assert built == [8, 8, 6, 6]
+        # a separate graph with equal edges builds its own, and decomposes
+        # the same way as the graph whose adjacency was already kept
+        twin = DiGraph.from_arrays(g.vertex_count, g.tails, g.heads, g.lengths, g.max_length_bound)
         built.clear()
-        with shared_adjacency():
-            shared = [run(16, t) for t in range(3)]
-            assert built == [8, 8]
-            run(12, 0)
-            assert built == [8, 8, 6, 6]
-        assert shared == alone
-        # nothing is held once the block exits
-        built.clear()
-        run(16, 0)
+        assert [run(twin, 16, t) for t in range(3)] == first
         assert built == [8, 8]
 
     def test_removal_trials_share_one_build(self, monkeypatch):
         built = self._counting(monkeypatch)
-        estimate_removal_probability(unit_path(40), LddParams(d=8), trials=5)
+        g = unit_path(40)
+        freq = estimate_removal_probability(g, LddParams(d=8), trials=5)
         assert built == [4, 4]
+        # the adjacency stays on g: another estimate builds nothing and
+        # gives the same frequencies as a fresh graph with the same edges
+        assert np.array_equal(estimate_removal_probability(g, LddParams(d=8), trials=5), freq)
+        assert built == [4, 4]
+        again = estimate_removal_probability(unit_path(40), LddParams(d=8), trials=5)
+        assert np.array_equal(again, freq)
+        assert built == [4, 4, 4, 4]
 
 
 class TestRemovalProbability:

@@ -27,7 +27,7 @@ from shallowcut import (
     scaled_length,
     verify_shortcut,
 )
-from shallowcut import ldd, shallow_reduce
+from shallowcut import graphs, ldd, oracles, shallow_reduce
 
 fractions = st.fractions(
     min_value=Fraction(1, 64), max_value=Fraction(64), max_denominator=64
@@ -273,6 +273,38 @@ class TestReduceShortcut:
         cfg = ReductionConfig(lam=4096, h=4, eps=Fraction(1, 2))
         report = reduce_shortcut(unit_path(16), cfg, ExactReachabilityOracle(16))
         assert report.lambda_prime == 256  # 4096 / log2(16)^2, not halved
+
+    def test_one_closure_per_oracle_call_and_stop_check(self, monkeypatch):
+        # the oracle closes its call's graph, shortcut_as_hopset checks the
+        # shortcut against the closure kept on that graph, and each epoch's
+        # stop rule closes the union graph: no graph is closed twice
+        closed, checked, returned = [], [], []
+        closure, reachable = graphs._closure, oracles.pairs_reachable
+
+        def counted_closure(g):
+            closed.append(g)
+            return closure(g)
+
+        def counted_reachable(g, tails, heads):
+            checked.append(len(tails))
+            return reachable(g, tails, heads)
+
+        class Recording(ExactReachabilityOracle):
+            def build_shortcut(self, call, rng=None):
+                out = super().build_shortcut(call, rng)
+                returned.append(len(out))
+                return out
+
+        monkeypatch.setattr(graphs, "_closure", counted_closure)
+        monkeypatch.setattr(oracles, "pairs_reachable", counted_reachable)
+        cfg = ReductionConfig(lam=4, h=4, ldd_repetitions=2)
+        report = reduce_shortcut(unit_path(64), cfg, Recording(64))
+        epochs = len(report.epoch_traces)
+        assert epochs >= 2 and report.oracle_calls >= 2 * epochs
+        assert len(closed) == report.oracle_calls + epochs
+        assert len({id(g) for g in closed}) == len(closed)
+        # every pair the oracle returned was still checked
+        assert sum(checked) == sum(returned) > 0
 
 
 def _edge_digest(es):
