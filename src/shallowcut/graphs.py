@@ -120,6 +120,14 @@ class DiGraph:
         """The same for the reversed graph: row v lists v's in-edges."""
         return _min_csr(self.vertex_count, self.heads, self.tails, self.lengths)
 
+    def reversed(self) -> "DiGraph":
+        """The graph with every edge turned around. Its CSR matrices are this
+        graph's, in swapped roles, so neither is built twice."""
+        n, bound = self.vertex_count, self.max_length_bound
+        rev = DiGraph(n, self.heads, self.tails, self.lengths, bound)
+        rev.__dict__.update(_csr=self._csr_rev, _csr_rev=self._csr)
+        return rev
+
     def _derived(self, key, build):
         """build(self) on the first call with this key, then kept on the graph."""
         kept = self.__dict__.setdefault("_kept", {})

@@ -20,7 +20,10 @@ up to n/64 machine words and a successor mask up to n bits: the layout pays
 off up to a few thousand vertices, not on graphs of tens of thousands. The
 (forward, reverse) adjacency of a 32,768-vertex unit path or cycle holds
 about 150 MB, kept while the graph lives (a 16,384-vertex random graph with
-3n edges: 53 MB).
+3n edges: 53 MB). The pipeline (shallow_reduce.run_phase) decomposes one
+strong component at a time, relabelled to ids 0..k-1, so there n is the
+component's size: the acyclic parts of a graph reach no decomposition and
+pay for no mask or adjacency.
 
 The coarse groups the recursion emits are refined into strongly connected
 components with one labelling pass over the remaining graph; only the

@@ -121,9 +121,8 @@ class HubSamplingOracle:
             rng = np.random.default_rng(0)
         g = call.graph
         hubs = np.flatnonzero(rng.random(g.vertex_count) < self.hub_rate)
-        rev = DiGraph(g.vertex_count, g.heads, g.tails, g.lengths, g.max_length_bound)
         out_d = hop_limited_dist(g, None, call.lambda_h, sources=hubs)
-        in_d = hop_limited_dist(rev, None, call.lambda_h, sources=hubs)
+        in_d = hop_limited_dist(g.reversed(), None, call.lambda_h, sources=hubs)
         for d in (out_d, in_d):
             d[np.arange(len(hubs)), hubs] = np.inf  # no edge from a hub to itself
         i, v = np.nonzero(np.isfinite(out_d))

@@ -7,6 +7,14 @@ of every piece with star edges, runs the clustered-DAG reduction, and
 scales the resulting edges back up. Repetitions with fresh randomness are
 unioned so that every fixed path is handled well by some sample.
 
+The decomposition runs on each strong component of the scaled graph with
+two or more vertices, on its own: the LDD's contract constrains only the
+strong components of G - E^rem, and an edge between two strong components
+of G lies on no cycle, so it is never cut. The k-th component in
+topological order is seeded by spawn key (epoch, phase, repetition, 0, k);
+the clustered-DAG reduction of the same repetition by (epoch, phase,
+repetition, 1). On a DAG no decomposition runs at all.
+
 A shortcut is the case with a single length scale. reduce_shortcut runs
 the same epoch loop on the input with length bound 1 and eps = 1, so the
 formulas give one phase per epoch, band 0 with sigma = 1 on the unscaled
@@ -18,13 +26,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .dag_reduce import ClusteredInput, reduce_clustered_dag
-from .graphs import DiGraph, EdgeSet, WeightedEdgeSet, dist_all_pairs, hop_limited_dist
-from .ldd import LddParams, low_diameter_decomposition
+from .graphs import (
+    DiGraph,
+    EdgeSet,
+    WeightedEdgeSet,
+    dist_all_pairs,
+    hop_limited_dist,
+    scc_topological,
+)
+from .ldd import LddParams, LddResult, low_diameter_decomposition
 from .oracles import ShallowOracle, ShortcutOracleAdapter
 from .verify import VerificationReport, _hop_radius, max_stretch
 
@@ -187,7 +203,8 @@ class ReductionReport:
 
     @property
     def ldd_calls(self) -> int:
-        return sum(len(tr.repetitions) for epoch in self.epoch_traces for tr in epoch)
+        reps = (r for epoch in self.epoch_traces for tr in epoch for r in tr.repetitions)
+        return sum(r["decompositions"] for r in reps)
 
     def to_json(self) -> dict:
         return {
@@ -222,7 +239,10 @@ def run_phase(
     and union the samples. Edges come back in original-length units.
 
     sigma = 1 means the band's scale factor is at most 1, so the phase
-    runs on g_prev's own lengths."""
+    runs on g_prev's own lengths. Each repetition decomposes each strong
+    component of the scaled graph with two or more vertices on its own, the
+    k-th in topological order seeded by spawn key (epoch, phase,
+    repetition, 0, k); single vertices pass through as components."""
     reps = cfg.repetitions(g_prev.vertex_count)
     d = (cfg.lam * cfg.h) // 2
     trace = PhaseTrace(plan.epoch_index, plan.phase_index, plan.sigma)
@@ -230,12 +250,12 @@ def run_phase(
         scaled = g_prev
     else:
         scaled = scale_down_graph(g_prev, plan.phase_index, cfg.eps)
+    parts = scaled._derived("strong parts", _StrongParts.of)
     outputs = []
     for r in range(reps):
         key = (plan.epoch_index, plan.phase_index, r)
-        ldd_seed = np.random.SeedSequence(cfg.seed, spawn_key=key + (0,))
         dag_seed = np.random.SeedSequence(cfg.seed, spawn_key=key + (1,))
-        result = low_diameter_decomposition(scaled, LddParams(d=d), seed_seq=ldd_seed)
+        result = parts.decompose(d, cfg.seed, key)
         stars = build_stars(result.components, d)
         clustered = result.remaining_graph(scaled).with_extra(stars)
         cinput = ClusteredInput(clustered, tuple(result.components), cfg.lam * cfg.h)
@@ -246,6 +266,7 @@ def run_phase(
         outputs.append(sample)
         trace.repetitions.append(
             {
+                "decompositions": len(parts.graphs),
                 "removed_edges": len(result.removed_edges),
                 "components": len(result.components),
                 "oracle_calls": dag_trace.oracle_calls,
@@ -256,6 +277,59 @@ def run_phase(
     union = WeightedEdgeSet.union(*outputs) if outputs else WeightedEdgeSet.empty()
     trace.output_size = len(union)
     return union, trace
+
+
+@dataclass(frozen=True)
+class _StrongParts:
+    """A graph's strong components in topological order and, for the k-th
+    if it has two or more vertices, graphs[k], its induced subgraph on local
+    ids in ascending vertex order, and edges[k], the indices in the graph of
+    that subgraph's edges. Kept on the graph, so that each subgraph's LDD
+    adjacency is built once for all the repetitions, and once for all the
+    phases that run on the same graph (every phase with sigma = 1)."""
+
+    sccs: list[tuple[int, ...]]
+    graphs: dict[int, DiGraph]
+    edges: dict[int, np.ndarray]
+
+    @classmethod
+    def of(cls, g: DiGraph) -> "_StrongParts":
+        sccs = scc_topological(g)
+        sizes = np.array([len(comp) for comp in sccs], dtype=_INT)
+        members = np.fromiter(chain.from_iterable(sccs), dtype=_INT, count=g.vertex_count)
+        comp_of = np.empty(g.vertex_count, dtype=_INT)
+        comp_of[members] = np.repeat(np.arange(len(sccs), dtype=_INT), sizes)
+        local = np.empty(g.vertex_count, dtype=_INT)
+        local[members] = np.arange(g.vertex_count) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        ct = comp_of[g.tails]
+        inside = np.flatnonzero((ct == comp_of[g.heads]) & (sizes[ct] > 1))
+        # the inside edges grouped by component, each group in edge order
+        inside = inside[np.argsort(ct[inside], kind="stable")]
+        bounds = np.searchsorted(ct[inside], np.arange(len(sccs) + 1))
+        graphs, edges = {}, {}
+        for k in np.flatnonzero(sizes > 1).tolist():
+            ids = edges[k] = inside[bounds[k] : bounds[k + 1]]
+            t, h = local[g.tails[ids]], local[g.heads[ids]]
+            graphs[k] = DiGraph(len(sccs[k]), t, h, g.lengths[ids], g.max_length_bound)
+        return cls(sccs, graphs, edges)
+
+    def decompose(self, d: int, seed: int, key: tuple[int, ...]) -> LddResult:
+        """One LDD of each graphs[k], seeded by spawn key key + (0, k), as an
+        LDD of the whole graph: the pieces of each strong component in turn,
+        in the condensation's topological order, and the removed edges as
+        indices into the graph's edges."""
+        pieces = [[comp] for comp in self.sccs]
+        removed = [np.empty(0, dtype=_INT)]
+        for k, sub in self.graphs.items():
+            ss = np.random.SeedSequence(seed, spawn_key=key + (0, k))
+            result = low_diameter_decomposition(sub, LddParams(d=d), seed_seq=ss)
+            verts = self.sccs[k]
+            pieces[k] = [tuple(verts[v] for v in piece) for piece in result.components]
+            removed.append(self.edges[k][list(result.removed_edges)])
+        return LddResult(
+            tuple(np.sort(np.concatenate(removed)).tolist()),
+            tuple(chain.from_iterable(pieces)),
+        )
 
 
 def reduce_hopset(g: DiGraph, cfg: ReductionConfig, oracle: ShallowOracle) -> ReductionReport:

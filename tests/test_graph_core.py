@@ -185,6 +185,17 @@ class TestDiGraph:
         assert g.edge_count == 2
         assert g2.edge_count == 3
 
+    def test_reversed_shares_the_csr_matrices(self):
+        g = DiGraph.from_edges(4, [(0, 1, 2), (0, 1, 1), (1, 0, 3), (2, 2, 1), (2, 3, 1)])
+        rev = g.reversed()
+        assert list(rev.edges()) == [(h, t, w) for t, h, w in g.edges()]
+        assert rev._csr is g._csr_rev and rev._csr_rev is g._csr
+        # the matrices a fresh reversed graph would build
+        fresh = DiGraph(4, g.heads, g.tails, g.lengths, g.max_length_bound)
+        for kept, built in ((rev._csr, fresh._csr), (rev._csr_rev, fresh._csr_rev)):
+            assert (kept != built).nnz == 0
+            assert np.array_equal(kept.indptr, built.indptr)
+
     @pytest.mark.parametrize(
         "edges", [[(0, 1, 2), (1, 0, 1), (1, 2, 3), (2, 2, 1), (2, 3, 1)], [], [(1, 1, 1)]],
         ids=["cycle-and-loop", "edgeless", "loop-only"],

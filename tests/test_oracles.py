@@ -30,6 +30,7 @@ from shallowcut import (
     verify_distance_preservation,
     verify_hopset,
 )
+from shallowcut import graphs
 
 
 def unit_path(n):
@@ -137,6 +138,27 @@ class TestHubSamplingOracle:
         want = hub_reference(g, hubs, hops)
         assert {(t, h): w for t, h, w in out} == want
         assert len(out) == len(want)
+
+    def test_one_min_csr_per_direction(self, monkeypatch):
+        # the in-distances run on g.reversed(), whose CSR matrices are g's
+        # own, so a call on a graph whose forward matrix exists (as every
+        # pipeline call's does) builds only g's reverse one
+        built = []
+        min_csr = graphs._min_csr
+
+        def counted_min_csr(n, tails, heads, lengths):
+            built.append((id(tails), id(heads)))
+            return min_csr(n, tails, heads, lengths)
+
+        monkeypatch.setattr(graphs, "_min_csr", counted_min_csr)
+        g = generate(GeneratorSpec("cycle", n=64))
+        g._csr
+        out = HubSamplingOracle(64, 0.1).build(call_on(g, lam=4, h=4), np.random.default_rng(3))
+        assert built == [(id(g.tails), id(g.heads)), (id(g.heads), id(g.tails))]
+        monkeypatch.undo()
+        hubs = np.flatnonzero(np.random.default_rng(3).random(64) < 0.1)
+        assert len(hubs) > 0
+        assert {(t, h): w for t, h, w in out} == hub_reference(g, hubs, 16)
 
     def test_zero_rate_returns_empty_set(self):
         out = HubSamplingOracle(6, 0.0).build(call_on(unit_path(6)), np.random.default_rng(0))

@@ -8,23 +8,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from shallowcut import (
+    ClusteredInput,
     DiGraph,
+    EdgeSet,
     ExactReachabilityOracle,
     ExactTransitiveOracle,
     GeneratorSpec,
+    LddParams,
     PhasePlan,
     ReductionConfig,
     build_stars,
     dist_all_pairs,
     generate,
+    induced_subgraph,
+    low_diameter_decomposition,
     phase_sigma,
     reduce_hopset,
     reduce_shortcut,
     run_phase,
     scale_down_graph,
     scaled_length,
+    scc_topological,
+    verify_ldd,
     verify_shortcut,
 )
 from shallowcut import graphs, ldd, oracles, shallow_reduce
@@ -156,7 +164,9 @@ class TestRunPhase:
 
 
     def test_repetitions_share_one_adjacency(self, monkeypatch):
-        # one LDD per repetition, one (forward, reverse) adjacency per phase
+        # one LDD per repetition and strong component, one (forward,
+        # reverse) adjacency per strong component and graph: phases with
+        # sigma = 1 run on the same graph and share it
         built, decompositions = [], []
         adjacency = ldd._adjacency
         decompose = shallow_reduce.low_diameter_decomposition
@@ -172,9 +182,125 @@ class TestRunPhase:
         monkeypatch.setattr(ldd, "_adjacency", counted_adjacency)
         monkeypatch.setattr(shallow_reduce, "low_diameter_decomposition", counted_decompose)
         cfg = ReductionConfig(lam=8, h=8, ldd_repetitions=3, eps=Fraction(1, 2))
-        run_phase(unit_path(48), PhasePlan(1, 1, 2), cfg, ExactTransitiveOracle(48))
+        cycle = generate(GeneratorSpec("cycle", n=48))
+        _, trace = run_phase(cycle, PhasePlan(1, 1, 2), cfg, ExactTransitiveOracle(48))
+        # the cycle is one strong component: one decomposition per repetition
         assert len(decompositions) == 3
+        assert [r["decompositions"] for r in trace.repetitions] == [1, 1, 1]
         assert built == [16, 16]
+        for j in (0, 1):
+            run_phase(cycle, PhasePlan(1, j, 1), cfg, ExactTransitiveOracle(48))
+        assert len(decompositions) == 9
+        assert built == [16, 16] * 2
+
+
+# lambda = h = 4, so d = 8: each 12-vertex cycle of the chain is wider than
+# d, and the random graph's lengths run up to 8, so the LDD has to cut
+CONTRACT_INPUTS = {
+    "scc-chain": GeneratorSpec("scc-chain", blocks=4, block_size=12),
+    "random-gnm": GeneratorSpec("random-gnm", n=48, m=144, big_n=8, seed=0),
+}
+CONTRACT_CFG = ReductionConfig(lam=4, h=4, eps=Fraction(1, 2), ldd_repetitions=4, seed=3)
+
+
+def recorded_phases(monkeypatch, name):
+    """Run band 0 and band 3 of one epoch on a contract input; return
+    (scaled graph, plan, the LddResult of each repetition) per phase."""
+    decompose = shallow_reduce._StrongParts.decompose
+    results = []
+
+    def recording(self, *args):
+        results.append(decompose(self, *args))
+        return results[-1]
+
+    monkeypatch.setattr(shallow_reduce._StrongParts, "decompose", recording)
+    g = generate(CONTRACT_INPUTS[name])
+    cfg = CONTRACT_CFG
+    phases = []
+    for j in (0, 3):
+        plan = PhasePlan(1, j, phase_sigma(j, cfg.eps))
+        run_phase(g, plan, cfg, ExactTransitiveOracle(g.vertex_count))
+        scaled = g if plan.sigma == 1 else scale_down_graph(g, j, cfg.eps)
+        phases.append((scaled, plan, results[:]))
+        results.clear()
+    return phases
+
+
+class TestStrongComponentDecomposition:
+    """run_phase decomposes each strong component of its scaled graph on
+    its own; the combined result must still meet the LDD's contract on the
+    whole scaled graph."""
+
+    @pytest.mark.parametrize("name", CONTRACT_INPUTS)
+    def test_no_edge_between_strong_components_is_removed(self, monkeypatch, name):
+        removed_total = 0
+        for scaled, _, results in recorded_phases(monkeypatch, name):
+            labels = connected_components(scaled._csr, connection="strong")[1]
+            across = labels[scaled.tails] != labels[scaled.heads]
+            assert across.any()
+            for res in results:
+                removed = np.asarray(res.removed_edges, dtype=np.int64)
+                assert not across[removed].any()
+                removed_total += len(removed)
+        assert removed_total > 0
+
+    @pytest.mark.parametrize("name", CONTRACT_INPUTS)
+    def test_components_are_a_clustered_input(self, monkeypatch, name):
+        for scaled, _, results in recorded_phases(monkeypatch, name):
+            for res in results:
+                cinput = ClusteredInput(res.remaining_graph(scaled), res.components, 16)
+                assert len(np.unique(cinput.validate())) == len(res.components)
+
+    @pytest.mark.parametrize("name", CONTRACT_INPUTS)
+    def test_result_is_an_ldd_of_the_scaled_graph(self, monkeypatch, name):
+        # weak diameters are measured in the whole scaled graph
+        d = CONTRACT_CFG.lam * CONTRACT_CFG.h // 2
+        for scaled, _, results in recorded_phases(monkeypatch, name):
+            for res in results:
+                report = verify_ldd(scaled, d, res)
+                assert report.passed, report.violations[:3]
+
+    @pytest.mark.parametrize("name", CONTRACT_INPUTS)
+    def test_each_component_decomposed_with_its_own_key(self, monkeypatch, name):
+        # reference: one LDD per multi-vertex strong component, the k-th in
+        # topological order seeded by spawn key (epoch, phase, rep, 0, k)
+        d = CONTRACT_CFG.lam * CONTRACT_CFG.h // 2
+        for scaled, plan, results in recorded_phases(monkeypatch, name):
+            assert len(results) == CONTRACT_CFG.ldd_repetitions
+            for r, res in enumerate(results):
+                key = (plan.epoch_index, plan.phase_index, r, 0)
+                components, removed = [], []
+                for k, comp in enumerate(scc_topological(scaled)):
+                    if len(comp) == 1:
+                        components.append(comp)
+                        continue
+                    sub, ids = induced_subgraph(scaled, comp)
+                    inside = np.isin(scaled.tails, ids) & np.isin(scaled.heads, ids)
+                    seed = np.random.SeedSequence(CONTRACT_CFG.seed, spawn_key=key + (k,))
+                    local = low_diameter_decomposition(sub, LddParams(d=d), seed_seq=seed)
+                    components += [tuple(ids[list(c)].tolist()) for c in local.components]
+                    removed += np.flatnonzero(inside)[list(local.removed_edges)].tolist()
+                assert res.components == tuple(components)
+                assert res.removed_edges == tuple(sorted(removed))
+
+    def test_unit_path_runs_no_decomposition(self, monkeypatch):
+        calls = []
+        decompose = shallow_reduce.low_diameter_decomposition
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(shallow_reduce, "low_diameter_decomposition", counted)
+        g = unit_path(48)
+        cfg = ReductionConfig(lam=4, h=4, ldd_repetitions=3)
+        out, trace = run_phase(g, PhasePlan(1, 0, 1), cfg, ExactTransitiveOracle(48))
+        assert calls == []
+        assert [r["decompositions"] for r in trace.repetitions] == [0, 0, 0]
+        assert [r["removed_edges"] for r in trace.repetitions] == [0, 0, 0]
+        assert [r["components"] for r in trace.repetitions] == [48, 48, 48]
+        # nothing cut, so one clustered-DAG run reaches every pair
+        assert len(out) == 48 * 47 // 2
 
 
 class TestReduceHopset:
@@ -212,9 +338,13 @@ class TestReduceHopset:
             tr.oracle_calls for epoch in report.epoch_traces for tr in epoch
         )
         assert report.oracle_calls == from_traces
-        assert report.ldd_calls == sum(
-            len(tr.repetitions) for epoch in report.epoch_traces for tr in epoch
-        )
+        # every strong component of a path is one vertex: no LDD runs
+        assert report.ldd_calls == 0
+        assert report.to_json()["ldd_calls"] == 0
+        cycle = generate(GeneratorSpec("cycle", n=32))
+        report = reduce_hopset(cycle, cfg, ExactTransitiveOracle(32))
+        phases = sum(len(epoch) for epoch in report.epoch_traces)
+        assert report.ldd_calls == 2 * phases > 0
 
     def test_shallow_graph_already_within_budget(self):
         g = DiGraph.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
@@ -298,7 +428,8 @@ class TestReduceShortcut:
         monkeypatch.setattr(graphs, "_closure", counted_closure)
         monkeypatch.setattr(oracles, "pairs_reachable", counted_reachable)
         cfg = ReductionConfig(lam=4, h=4, ldd_repetitions=2)
-        report = reduce_shortcut(unit_path(64), cfg, Recording(64))
+        cycle = generate(GeneratorSpec("cycle", n=64))
+        report = reduce_shortcut(cycle, cfg, Recording(64))
         epochs = len(report.epoch_traces)
         assert epochs >= 2 and report.oracle_calls >= 2 * epochs
         assert len(closed) == report.oracle_calls + epochs
@@ -316,43 +447,51 @@ def _edge_digest(es):
 
 class TestPinnedShortcuts:
     """Digests of reduce_shortcut's shortcut on unit paths, lambda = h = 16,
-    two LDD repetitions, seeds 0-2, recorded from the implementation that
-    deduplicated condensation edges with np.unique(axis=0) and expanded
-    reachable pairs component by component. Any change to the closure's
-    pair set or order moves them."""
+    two LDD repetitions, seeds 0-2, recorded when run_phase began to
+    decompose each strong component on its own. Every strong component of
+    a path is one vertex, so nothing is cut, one epoch's clustered-DAG runs
+    see the whole path and the exact oracle returns its whole closure, at
+    every seed. Any change to the closure's pair set or order moves them."""
 
     PINNED = {
-        256: ["2b7a1679fb9b", "c762c9898efb", "25526158afa2"],
-        1024: ["cc4900f2ddec", "0071936fedaa", "10a87f000344"],
+        256: ["9969fff0742f"] * 3,
+        1024: ["96d5f59325ff"] * 3,
     }
 
     @pytest.mark.parametrize("n", [256, 1024])
     def test_unit_path(self, n):
         g = unit_path(n)
-        got = [
-            _edge_digest(reduce_shortcut(
+        closure = EdgeSet.from_arrays(*np.triu_indices(n, 1))
+        got = []
+        for seed in range(3):
+            report = reduce_shortcut(
                 g, ReductionConfig(lam=16, h=16, ldd_repetitions=2, seed=seed),
                 ExactReachabilityOracle(n),
-            ).shortcut)
-            for seed in range(3)
-        ]
+            )
+            assert verify_shortcut(g, report.shortcut, 16).passed
+            assert report.shortcut == closure
+            assert len(report.epoch_traces) == 1 and report.ldd_calls == 0
+            got.append(_edge_digest(report.shortcut))
         assert got == self.PINNED[n]
 
 
 class TestPinnedHopsets:
     """Digests of reduce_hopset's hopset and of its report's JSON on
     random-gnm n=48 m=144 N=8 (generator seed 0), lambda = h = 8, eps = 1/2,
-    two LDD repetitions, seeds 0-1. Any change to the epoch loop, the
-    clamp, the per-epoch measurement or the report's fields moves them."""
+    two LDD repetitions, seeds 0-1, recorded when run_phase began to
+    decompose each strong component on its own. Any change to the epoch
+    loop, the decompositions, the clamp, the per-epoch measurement or the
+    report's fields moves them."""
 
-    PINNED = {0: ("d4d49cbf7b6b", "83b035e1919c"), 1: ("3bc8de5c69c7", "caa31cebc991")}
+    PINNED = {0: ("7fb54a15cc9f", "063849c23956"), 1: ("60c244b8fc15", "a894a847a9e1")}
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_gnm(self, seed):
         g = generate(GeneratorSpec("random-gnm", n=48, m=144, big_n=8, seed=0))
         cfg = ReductionConfig(lam=8, h=8, eps=Fraction(1, 2), ldd_repetitions=2, seed=seed)
         report = reduce_hopset(g, cfg, ExactTransitiveOracle(48))
+        assert np.array_equal(dist_all_pairs(g, report.hopset), dist_all_pairs(g))
+        assert report.clamp_count == 0
         text = json.dumps(report.to_json(), sort_keys=True).encode()
         got = (_edge_digest(report.hopset), hashlib.sha256(text).hexdigest()[:12])
         assert got == self.PINNED[seed]
-

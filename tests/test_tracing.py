@@ -42,12 +42,13 @@ def test_traced_runs_reach_every_layer():
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer)
     try:
-        path = generate(GeneratorSpec("path", n=24))
+        # a cycle, so that the LDD runs: it decomposes strong components only
+        cycle = generate(GeneratorSpec("cycle", n=24))
         cfg = ReductionConfig(lam=4, h=4, ldd_repetitions=1)
-        report = shallow_reduce.reduce_shortcut(path, cfg, ExactReachabilityOracle(24))
+        report = shallow_reduce.reduce_shortcut(cycle, cfg, ExactReachabilityOracle(24))
         # through the module attribute, which install rebinds
-        shallowcut.verify.verify_shortcut(path, report.shortcut, cfg.h)
-        shallow_reduce.reduce_hopset(path, cfg, ExactTransitiveOracle(24))
+        shallowcut.verify.verify_shortcut(cycle, report.shortcut, cfg.h)
+        shallow_reduce.reduce_hopset(cycle, cfg, ExactTransitiveOracle(24))
     finally:
         uninstall()
     spans, _ = tracer.take()
