@@ -9,7 +9,9 @@ int64 columns that compare by value), whose one home is _EdgeRows.
 
 A DiGraph never changes, so what is derived from it (its CSR matrices, its
 condensation closure, the LDD's adjacency at each d) is built on first use
-and kept on the graph, read-only, for as long as the graph lives.
+and kept on the graph, read-only, for as long as the graph lives. Laying
+vertex groups out on new ids has one home, group_blocks: induced_subgraph,
+the LDD's SCC refinement and the pipeline's strong components use it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -469,23 +472,39 @@ def strong_diameter(g: DiGraph, s: Iterable[int]) -> float:
 
 
 def induced_subgraph(g: DiGraph, vertices: Sequence[int]) -> tuple[DiGraph, np.ndarray]:
-    """Induced subgraph on the given vertices, relabeled to [0, k).
-
-    Returns (subgraph, original_ids) where original_ids[i] is the parent id
-    of subgraph vertex i.
-    """
-    ids = np.asarray(sorted(set(int(v) for v in vertices)), dtype=_INT)
-    pos = np.full(g.vertex_count, -1, dtype=_INT)
-    pos[ids] = np.arange(len(ids))
-    keep = (pos[g.tails] >= 0) & (pos[g.heads] >= 0)
-    sub = DiGraph(
-        len(ids),
-        pos[g.tails[keep]].copy(),
-        pos[g.heads[keep]].copy(),
-        g.lengths[keep].copy(),
-        g.max_length_bound,
-    )
+    """Induced subgraph on the given vertices (repeats taken once), relabeled
+    to [0, k) in ascending order: original_ids[i] is the parent id of
+    subgraph vertex i."""
+    sub, ids, _ = group_blocks(g, [sorted(set(int(v) for v in vertices))])
     return sub, ids
+
+
+def group_blocks(
+    g: DiGraph, groups: Sequence[Sequence[int]]
+) -> tuple[DiGraph, np.ndarray, np.ndarray]:
+    """The subgraphs g induces on disjoint vertex groups, as one graph laid
+    out group after group, each group's vertices in the order given: ids[i]
+    is the vertex of g behind vertex i, and edges[j] the edge of g behind
+    edge j. The edges are grouped by group, each group's in g's order.
+    Raises ValueError for a vertex outside [0, n) or listed twice."""
+    n = g.vertex_count
+    sizes = [len(group) for group in groups]
+    ids = np.fromiter(chain.from_iterable(groups), dtype=_INT, count=sum(sizes))
+    if len(ids) and (ids.min() < 0 or ids.max() >= n):
+        raise ValueError("vertex id out of range")
+    block = np.full(n, -1, dtype=_INT)
+    block[ids] = np.repeat(np.arange(len(groups), dtype=_INT), sizes)
+    if np.count_nonzero(block >= 0) != len(ids):
+        raise ValueError("vertex listed twice")
+    pos = np.empty(n, dtype=_INT)
+    pos[ids] = np.arange(len(ids), dtype=_INT)
+    bt = block[g.tails]
+    edges = np.flatnonzero((bt >= 0) & (bt == block[g.heads]))
+    edges = edges[np.argsort(bt[edges], kind="stable")]
+    graph = DiGraph(
+        len(ids), pos[g.tails[edges]], pos[g.heads[edges]], g.lengths[edges], g.max_length_bound
+    )
+    return graph, ids, edges
 
 
 def reachable_pairs(g: DiGraph) -> EdgeSet:

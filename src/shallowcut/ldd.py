@@ -26,8 +26,8 @@ component's size: the acyclic parts of a graph reach no decomposition and
 pay for no mask or adjacency.
 
 The coarse groups the recursion emits are refined into strongly connected
-components with one labelling pass over the remaining graph; only the
-groups that split get a topological pass, all of them in one batch.
+components with one topological pass over the subgraphs the remaining
+graph induces on them, laid out group after group as one graph.
 
 The recursion derives child randomness by splitting the parent seed with
 the child's branch label, so the two recursive branches are independent of
@@ -45,9 +45,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
-from .graphs import DiGraph, scc_topological
+from .graphs import DiGraph, group_blocks, scc_topological
 
 _INT = np.int64
 
@@ -453,58 +452,19 @@ def _above(planes: list[int], k: int) -> int:
 
 def _refine_to_sccs(g: DiGraph, removed: np.ndarray, coarse: list[int]) -> list[tuple[int, ...]]:
     """Split each coarse group (vertex mask) into the strongly connected
-    components of G - E^rem it contains, keeping a valid topological order
-    overall.
+    components of G - E^rem it contains: the groups in turn, each group's
+    components as scc_topological orders its induced subgraph alone.
 
-    One strong-component pass labels all of G - E^rem. The groups are in
-    topological order, so every remaining edge between two groups points
-    forward and no cycle leaves a group: a group whose vertices share one
-    label is exactly one component. The groups that split are ordered as
-    scc_topological orders each on its own (see _split_groups)."""
+    The groups are in topological order, so no cycle of G - E^rem leaves a
+    group, and one scc_topological pass over the groups' blocks finds every
+    component. scipy labels components as its searches, started at each
+    unvisited vertex in index order, finish them, so each block gets one run
+    of labels, and the smallest-label-first order lists the blocks in turn."""
     keep = np.ones(g.edge_count, dtype=bool)
     keep[removed] = False
-    remaining = g.edge_subset(keep)
-    labels = connected_components(remaining._csr, connection="strong", directed=True)[1].tolist()
-    groups = [_members(group) for group in coarse]
-    whole = [all(labels[v] == labels[verts[0]] for v in verts) for verts in groups]
-    parts = iter(_split_groups(remaining, [v for v, w in zip(groups, whole) if not w]))
-    out: list[tuple[int, ...]] = []
-    for verts, w in zip(groups, whole):
-        if w:
-            out.append(tuple(verts))
-        else:
-            out += next(parts)
-    return out
-
-
-def _split_groups(g: DiGraph, groups: list[list[int]]) -> list[list[tuple[int, ...]]]:
-    """For each group (ascending vertex ids), the components of its induced
-    subgraph in the order scc_topological gives on that subgraph alone.
-
-    One scc_topological pass runs on the disjoint union of the subgraphs,
-    its vertices laid out group after group. scipy starts a search at each
-    unvisited vertex in index order and labels components as its searches
-    finish them, so each group gets one block of labels, ordered as a pass
-    on the group alone orders them; the smallest-label-first topological
-    order then lists the groups one after another."""
-    if not groups:
-        return []
-    ids = np.array([v for verts in groups for v in verts], dtype=_INT)
-    group_of = np.full(g.vertex_count, -1, dtype=_INT)
-    group_of[ids] = np.repeat(np.arange(len(groups)), [len(verts) for verts in groups])
-    pos = np.empty(g.vertex_count, dtype=_INT)
-    pos[ids] = np.arange(len(ids))
-    t, h = group_of[g.tails], group_of[g.heads]
-    inside = (t >= 0) & (t == h)
-    union = DiGraph(
-        len(ids), pos[g.tails[inside]], pos[g.heads[inside]], g.lengths[inside], g.max_length_bound
-    )
-    ids_l, group_l = ids.tolist(), group_of.tolist()
-    out: list[list[tuple[int, ...]]] = [[] for _ in groups]
-    for comp in scc_topological(union):
-        verts = tuple(ids_l[v] for v in comp)
-        out[group_l[verts[0]]].append(verts)
-    return out
+    blocks, ids, _ = group_blocks(g.edge_subset(keep), [_members(group) for group in coarse])
+    ids = ids.tolist()
+    return [tuple(ids[v] for v in comp) for comp in scc_topological(blocks)]
 
 
 def estimate_removal_probability(

@@ -37,6 +37,7 @@ from .graphs import (
     EdgeSet,
     WeightedEdgeSet,
     dist_all_pairs,
+    group_blocks,
     hop_limited_dist,
     scc_topological,
 )
@@ -284,9 +285,9 @@ class _StrongParts:
     """A graph's strong components in topological order and, for the k-th
     if it has two or more vertices, graphs[k], its induced subgraph on local
     ids in ascending vertex order, and edges[k], the indices in the graph of
-    that subgraph's edges. Kept on the graph, so that each subgraph's LDD
-    adjacency is built once for all the repetitions, and once for all the
-    phases that run on the same graph (every phase with sigma = 1)."""
+    that subgraph's edges: a block of group_blocks. Kept on the graph, so
+    that each subgraph's LDD adjacency is built once for all the repetitions,
+    and once for all the phases on the same graph (every one with sigma = 1)."""
 
     sccs: list[tuple[int, ...]]
     graphs: dict[int, DiGraph]
@@ -295,22 +296,19 @@ class _StrongParts:
     @classmethod
     def of(cls, g: DiGraph) -> "_StrongParts":
         sccs = scc_topological(g)
-        sizes = np.array([len(comp) for comp in sccs], dtype=_INT)
-        members = np.fromiter(chain.from_iterable(sccs), dtype=_INT, count=g.vertex_count)
-        comp_of = np.empty(g.vertex_count, dtype=_INT)
-        comp_of[members] = np.repeat(np.arange(len(sccs), dtype=_INT), sizes)
-        local = np.empty(g.vertex_count, dtype=_INT)
-        local[members] = np.arange(g.vertex_count) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        ct = comp_of[g.tails]
-        inside = np.flatnonzero((ct == comp_of[g.heads]) & (sizes[ct] > 1))
-        # the inside edges grouped by component, each group in edge order
-        inside = inside[np.argsort(ct[inside], kind="stable")]
-        bounds = np.searchsorted(ct[inside], np.arange(len(sccs) + 1))
+        multi = [k for k, comp in enumerate(sccs) if len(comp) > 1]
+        sizes = [len(sccs[k]) for k in multi]
+        blocks, _, inside = group_blocks(g, [sccs[k] for k in multi])
+        first = np.cumsum([0] + sizes)
+        # the block of each edge, ascending: edges are grouped by block
+        block = np.repeat(np.arange(len(multi), dtype=_INT), sizes)[blocks.tails]
+        bounds = np.searchsorted(block, np.arange(len(multi) + 1)).tolist()
         graphs, edges = {}, {}
-        for k in np.flatnonzero(sizes > 1).tolist():
-            ids = edges[k] = inside[bounds[k] : bounds[k + 1]]
-            t, h = local[g.tails[ids]], local[g.heads[ids]]
-            graphs[k] = DiGraph(len(sccs[k]), t, h, g.lengths[ids], g.max_length_bound)
+        for j, k in enumerate(multi):
+            lo, hi, v0 = bounds[j], bounds[j + 1], first[j]
+            t, h = blocks.tails[lo:hi] - v0, blocks.heads[lo:hi] - v0
+            graphs[k] = DiGraph(sizes[j], t, h, blocks.lengths[lo:hi], g.max_length_bound)
+            edges[k] = inside[lo:hi]
         return cls(sccs, graphs, edges)
 
     def decompose(self, d: int, seed: int, key: tuple[int, ...]) -> LddResult:

@@ -1,5 +1,6 @@
 """Graph primitives: distances, hop limits, diameters, SCC order, closure."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from shallowcut import (
     WeightedEdgeSet,
     dist_all_pairs,
     hop_limited_dist,
+    induced_subgraph,
     low_diameter_decomposition,
     pairs_reachable,
     reachable_pairs,
@@ -23,7 +25,7 @@ from shallowcut import (
     verify_hopset,
 )
 from shallowcut import graphs
-from shallowcut.graphs import _min_csr, condensation_closure
+from shallowcut.graphs import _min_csr, condensation_closure, group_blocks
 
 
 @st.composite
@@ -449,6 +451,59 @@ class TestDiameters:
             st.lists(st.integers(0, g.vertex_count - 1), min_size=k, max_size=k)
         )
         assert strong_diameter(g, s) >= weak_diameter(g, s)
+
+
+class TestGroupBlocks:
+    @given(random_graphs(max_n=16, max_m=60), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_are_the_induced_subgraphs(self, g, data):
+        # random_graphs gives self-loops and parallel edges; the groups are
+        # runs of a vertex permutation, so they come in no set order, some
+        # are singletons, the vertices outside the runs are in no group, and
+        # fewer than two cuts give no group at all
+        n = g.vertex_count
+        perm = data.draw(st.permutations(range(n)))
+        cuts = sorted(set(data.draw(st.lists(st.integers(0, n), max_size=8))))
+        groups = [perm[a:b] for a, b in zip(cuts, cuts[1:])]
+        sub, ids, edges = group_blocks(g, groups)
+
+        assert ids.tolist() == [v for group in groups for v in group]
+        assert sub.vertex_count == len(ids)
+        assert sub.max_length_bound == g.max_length_bound
+        assert np.array_equal(g.tails[edges], ids[sub.tails])
+        assert np.array_equal(g.heads[edges], ids[sub.heads])
+        assert np.array_equal(g.lengths[edges], sub.lengths)
+        block = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+        assert np.array_equal(block[sub.tails], block[sub.heads])
+        # grouped by block, each block's edges in g's order, none twice
+        key = list(zip(block[sub.tails].tolist(), edges.tolist()))
+        assert key == sorted(set(key))
+        for b, group in enumerate(groups):
+            want = Counter(e for e in g.edges() if e[0] in group and e[1] in group)
+            got = Counter(
+                (int(ids[t]), int(ids[h]), w) for t, h, w in sub.edges() if block[t] == b
+            )
+            assert got == want
+
+    @pytest.mark.parametrize("vertices", [[-1, 0], [0, 4], [4]])
+    def test_rejects_ids_outside_the_graph(self, vertices):
+        # a negative id used to wrap around: [-1, 0] kept edge 3 -> 0 as 0 -> 1
+        cycle = DiGraph.from_edges(4, [(i, (i + 1) % 4, 1) for i in range(4)])
+        with pytest.raises(ValueError, match="out of range"):
+            induced_subgraph(cycle, vertices)
+        with pytest.raises(ValueError, match="out of range"):
+            group_blocks(cycle, [[1], vertices])
+
+    @pytest.mark.parametrize("groups", [[[0, 1], [1, 2]], [[2, 0, 2]], [[3], [0], [3]]])
+    def test_rejects_a_vertex_listed_twice(self, groups):
+        with pytest.raises(ValueError, match="listed twice"):
+            group_blocks(unit_path(4), groups)
+
+    def test_induced_subgraph_takes_a_vertex_set(self):
+        # the one-group case: repeats are taken once, ids come out ascending
+        sub, ids = induced_subgraph(unit_path(5), [3, 1, 2, 3, 2])
+        assert ids.tolist() == [1, 2, 3]
+        assert list(sub.edges()) == [(0, 1, 1), (1, 2, 1)]
 
 
 class TestApproxHopbound:
