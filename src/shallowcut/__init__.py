@@ -50,7 +50,6 @@ from .oracles import (
     shortcut_as_hopset,
 )
 from .shallow_reduce import (
-    PhasePlan,
     ReductionConfig,
     ReductionReport,
     build_stars,
@@ -112,7 +111,6 @@ __all__ = [
     "reduce_clustered_dag",
     "ReductionConfig",
     "ReductionReport",
-    "PhasePlan",
     "phase_sigma",
     "scaled_length",
     "scale_down_graph",

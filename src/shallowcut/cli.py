@@ -142,9 +142,9 @@ def _make_oracle(name: str, n: int, hub_rate: float):
     return _from_flags(HubSamplingOracle, n, hub_rate)
 
 
-def _emit(args, payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(args, payload: dict, summary: str) -> None:
+    """Under --json, stdout is the payload alone; else the summary line."""
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else summary)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +167,8 @@ def _cmd_gen(args) -> int:
     g = _from_flags(generate, spec)
     out = Path(args.out) if args.out else _out_dir(args) / f"{args.family}.txt"
     write_graph(g, out)
-    print(f"wrote {out} (n={g.vertex_count} m={g.edge_count} N={g.max_length_bound})")
-    _emit(args, {"path": str(out), "n": g.vertex_count, "m": g.edge_count})
+    _emit(args, {"path": str(out), "n": g.vertex_count, "m": g.edge_count},
+          f"wrote {out} (n={g.vertex_count} m={g.edge_count} N={g.max_length_bound})")
     return EXIT_OK
 
 
@@ -189,11 +189,8 @@ def _cmd_ldd(args) -> int:
         freq = estimate_removal_probability(g, params, args.trials)
         payload["removal_frequency_max"] = float(freq.max()) if len(freq) else 0.0
         payload["removal_frequency_median"] = float(np.median(freq)) if len(freq) else 0.0
-    print(
-        f"components={len(result.components)} removed={len(result.removed_edges)} "
-        f"max_weak_diam={report.measured_hopbound}"
-    )
-    _emit(args, payload)
+    _emit(args, payload, f"components={len(result.components)} "
+          f"removed={len(result.removed_edges)} max_weak_diam={report.measured_hopbound}")
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -211,8 +208,8 @@ def _cmd_dag_reduce(args) -> int:
     )
     out = _out_dir(args) / "dag-hopset.txt"
     write_weighted_edge_set(hopset, out)
-    print(f"iterations={trace.oracle_calls} hopset={len(hopset)} wrote {out}")
-    _emit(args, {"trace": trace.to_json(), "hopset_size": len(hopset), "path": str(out)})
+    _emit(args, {"trace": trace.to_json(), "hopset_size": len(hopset), "path": str(out)},
+          f"iterations={trace.oracle_calls} hopset={len(hopset)} wrote {out}")
     return EXIT_OK
 
 
@@ -280,11 +277,8 @@ def _cmd_reduce(args) -> int:
         verified = "skipped"
     else:
         verified = "yes" if report.verification.passed else "NO"
-    print(
-        f"mode={args.mode} size={report.total_size} oracle_calls={report.oracle_calls} "
-        f"clamps={report.clamp_count} verified={verified}"
-    )
-    _emit(args, report.to_json())
+    _emit(args, report.to_json(), f"mode={args.mode} size={report.total_size} "
+          f"oracle_calls={report.oracle_calls} clamps={report.clamp_count} verified={verified}")
     return EXIT_VERIFY if verified == "NO" else EXIT_OK
 
 
@@ -320,7 +314,7 @@ def _cmd_verify(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--json", action="store_true", help="emit a JSON payload to stdout")
+    p.add_argument("--json", action="store_true", help="print one JSON document, not the summary")
 
 
 def _add_reduce_config(p: argparse.ArgumentParser) -> None:

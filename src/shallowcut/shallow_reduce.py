@@ -99,13 +99,6 @@ class ReductionConfig:
         return 4 * max(1, math.ceil(math.log2(max(n, 2))))
 
 
-@dataclass(frozen=True)
-class PhasePlan:
-    epoch_index: int
-    phase_index: int
-    sigma: int
-
-
 def phase_sigma(j: int, eps: Fraction) -> int:
     """sigma = ceil(eps * 2^j), the band's scale-up factor."""
     value = Fraction(eps) * (1 << j)
@@ -127,6 +120,11 @@ def scaled_length(length, j: int, eps: Fraction):
 
 
 def scale_down_graph(g: DiGraph, j: int, eps: Fraction) -> DiGraph:
+    """g with band-j scaled-down lengths. A band that does not scale
+    (sigma = 1) gets g itself, so all such phases on g share what is kept
+    on it: the strong parts and their LDD adjacency."""
+    if phase_sigma(j, eps) == 1:
+        return g
     lengths = np.asarray(scaled_length(g.lengths, j, eps), dtype=_INT)
     bound = int(lengths.max()) if len(lengths) else 1
     return DiGraph(g.vertex_count, g.tails, g.heads, lengths.copy(), max(bound, 1))
@@ -232,29 +230,28 @@ class ReductionReport:
 
 def run_phase(
     g_prev: DiGraph,
-    plan: PhasePlan,
+    epoch: int,
+    phase: int,
     cfg: ReductionConfig,
     oracle: ShallowOracle,
 ) -> tuple[WeightedEdgeSet, PhaseTrace]:
-    """One phase: repeat (LDD -> stars -> clustered reduction -> scale up)
+    """One phase, for length band `phase`: repeat (LDD -> stars ->
+    clustered reduction -> scale up by sigma) on scale_down_graph(g_prev)
     and union the samples. Edges come back in original-length units.
 
-    sigma = 1 means the band's scale factor is at most 1, so the phase
-    runs on g_prev's own lengths. Each repetition decomposes each strong
-    component of the scaled graph with two or more vertices on its own, the
-    k-th in topological order seeded by spawn key (epoch, phase,
-    repetition, 0, k); single vertices pass through as components."""
+    Each repetition decomposes each strong component of the scaled graph
+    with two or more vertices on its own, the k-th in topological order
+    seeded by spawn key (epoch, phase, repetition, 0, k); single vertices
+    pass through as components."""
     reps = cfg.repetitions(g_prev.vertex_count)
     d = (cfg.lam * cfg.h) // 2
-    trace = PhaseTrace(plan.epoch_index, plan.phase_index, plan.sigma)
-    if plan.sigma == 1:
-        scaled = g_prev
-    else:
-        scaled = scale_down_graph(g_prev, plan.phase_index, cfg.eps)
+    sigma = phase_sigma(phase, cfg.eps)
+    trace = PhaseTrace(epoch, phase, sigma)
+    scaled = scale_down_graph(g_prev, phase, cfg.eps)
     parts = scaled._derived("strong parts", _StrongParts.of)
     outputs = []
     for r in range(reps):
-        key = (plan.epoch_index, plan.phase_index, r)
+        key = (epoch, phase, r)
         dag_seed = np.random.SeedSequence(cfg.seed, spawn_key=key + (1,))
         result = parts.decompose(d, cfg.seed, key)
         stars = build_stars(result.components, d)
@@ -263,7 +260,7 @@ def run_phase(
         hopset, dag_trace = reduce_clustered_dag(
             cinput, oracle, cfg.lam, cfg.h, cfg.eps, seed_seq=dag_seed
         )
-        sample = WeightedEdgeSet.union(hopset, stars).scaled(plan.sigma)
+        sample = WeightedEdgeSet.union(hopset, stars).scaled(sigma)
         outputs.append(sample)
         trace.repetitions.append(
             {
@@ -287,7 +284,7 @@ class _StrongParts:
     ids in ascending vertex order, and edges[k], the indices in the graph of
     that subgraph's edges: a block of group_blocks. Kept on the graph, so
     that each subgraph's LDD adjacency is built once for all the repetitions,
-    and once for all the phases on the same graph (every one with sigma = 1)."""
+    and once for all the phases that scale_down_graph runs on the same graph."""
 
     sccs: list[tuple[int, ...]]
     graphs: dict[int, DiGraph]
@@ -395,8 +392,7 @@ def _run_epochs(
         phase_outputs = []
         phase_traces = []
         for j in range(phases):
-            plan = PhasePlan(i, j, phase_sigma(j, cfg.eps))
-            out, tr = run_phase(g_cur, plan, cfg, oracle)
+            out, tr = run_phase(g_cur, i, j, cfg, oracle)
             if dist0 is not None and len(out):
                 true = dist0[out.tails, out.heads]
                 if not np.isfinite(true).all():

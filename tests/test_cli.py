@@ -1,6 +1,7 @@
 """Generators and the command-line front end."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -174,6 +175,82 @@ class TestCliLdd:
         capsys.readouterr()
         assert main(["ldd", str(graph), "--d", "4", "--ceiling", "2"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestCliJson:
+    """Under --json, stdout is one JSON document and nothing else."""
+
+    @staticmethod
+    def run_json(capsys, argv):
+        capsys.readouterr()
+        code = main(argv + ["--json"])
+        return code, json.loads(capsys.readouterr().out)
+
+    @pytest.fixture
+    def graph(self, tmp_path):
+        path = tmp_path / "g.txt"
+        main(["gen", "--family", "scc-chain", "--blocks", "8", "--block-size", "3",
+              "--out", str(path)])
+        return path
+
+    def test_gen(self, tmp_path, capsys):
+        out = tmp_path / "p.txt"
+        code, doc = self.run_json(capsys, ["gen", "--family", "path", "--n", "5",
+                                           "--out", str(out)])
+        assert code == 0
+        assert doc == {"path": str(out), "n": 5, "m": 4}
+
+    @pytest.mark.parametrize("mode", ["hopset", "shortcut"])
+    def test_reduce(self, tmp_path, capsys, graph, mode):
+        code, doc = self.run_json(capsys, [
+            "reduce", str(graph), "--mode", mode, "--lambda", "4", "--h", "4",
+            "--reps", "1", "--out-dir", str(tmp_path / "run"),
+        ])
+        assert code == 0
+        assert doc == json.loads((tmp_path / "run" / "report.json").read_text())
+
+    def test_ldd_round_trip_through_verify(self, tmp_path, capsys, graph):
+        code, doc = self.run_json(capsys, ["ldd", str(graph), "--d", "2", "--trials", "3"])
+        assert code == 0 and doc["passed"] is True
+        assert {"removal_frequency_max", "removal_frequency_median"} <= set(doc)
+        decomposition = tmp_path / "dec.json"
+        decomposition.write_text(json.dumps(doc))
+        code, report = self.run_json(capsys, [
+            "verify", str(graph), "--kind", "ldd", "--decomposition", str(decomposition),
+            "--d", "2",
+        ])
+        assert code == 0 and report["passed"] is True
+
+    def test_dag_reduce_output_is_a_hopset_at_the_promised_stretch(
+        self, tmp_path, capsys, graph
+    ):
+        # reduce_clustered_dag promises an (alpha, h)-hopset with
+        # alpha = (1 + eps)^iterations
+        run, eps = tmp_path / "run", Fraction(1, 2)
+        code, doc = self.run_json(capsys, [
+            "dag-reduce", str(graph), "--lambda", "4", "--h", "4", "--eps", str(eps),
+            "--out-dir", str(run),
+        ])
+        assert code == 0
+        iterations = len(doc["trace"]["iterations"])
+        assert iterations > 1
+        assert doc["path"] == str(run / "dag-hopset.txt")
+        assert doc["hopset_size"] == len(read_weighted_edge_set(run / "dag-hopset.txt"))
+        alpha = (1 + eps) ** iterations
+        code, report = self.run_json(capsys, [
+            "verify", str(graph), "--kind", "hopset", "--edges", doc["path"],
+            "--alpha", str(alpha), "--h", "4",
+        ])
+        assert code == 0 and report["passed"] is True
+
+    @pytest.mark.parametrize("kind, flag", [
+        ("hopset", "--edges"), ("shortcut", "--edges"), ("ldd", "--decomposition"),
+    ])
+    def test_verify_without_its_input_file_exits_two(self, capsys, graph, kind, flag):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", str(graph), "--kind", kind])
+        assert info.value.code == 2
+        assert f"{flag} is required" in capsys.readouterr().err
 
 
 class TestCliReduce:

@@ -214,6 +214,19 @@ class TestDecomposition:
         remaining = result.remaining_graph(g)
         assert remaining.edge_count == g.edge_count - len(result.removed_edges)
 
+    def test_give_up_drops_every_edge_of_the_node(self, monkeypatch):
+        # balanced sets that swallow the whole piece split neither side and
+        # leave no middle, so the clean-up fails and the node gives up; on a
+        # unit cycle wider than d the trivial accept does not step in first
+        monkeypatch.setattr(ldd, "_balanced", lambda adj, piece, *rest: piece)
+        n, d = 16, 4
+        g = DiGraph.from_edges(n, [(i, (i + 1) % n, 1) for i in range(n)])
+        result = low_diameter_decomposition(g, LddParams(d=d))
+        assert result.removed_edges == tuple(range(n))
+        assert sorted(result.components) == [(v,) for v in range(n)]
+        report = verify_ldd(g, d, result)
+        assert report.passed, [v.to_json() for v in report.violations]
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             LddParams(d=0)

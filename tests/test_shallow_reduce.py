@@ -18,8 +18,8 @@ from shallowcut import (
     ExactTransitiveOracle,
     GeneratorSpec,
     LddParams,
-    PhasePlan,
     ReductionConfig,
+    WeightedEdgeSet,
     build_stars,
     dist_all_pairs,
     generate,
@@ -32,6 +32,7 @@ from shallowcut import (
     scale_down_graph,
     scaled_length,
     scc_topological,
+    verify_distance_preservation,
     verify_ldd,
     verify_shortcut,
 )
@@ -64,6 +65,12 @@ class TestScaledLength:
         expected = length if factor <= 1 else -((-length * factor.denominator) // factor.numerator)
         assert got == expected
         assert got >= 1
+
+    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 10)])
+    def test_graph_kept_exactly_when_the_band_does_not_scale(self, eps):
+        g = DiGraph.from_edges(4, [(0, 1, 7), (1, 2, 13), (2, 3, 1)], 13)
+        for j in range(5):
+            assert (scale_down_graph(g, j, eps) is g) == (phase_sigma(j, eps) == 1)
 
     def test_vectorized_matches_scalar(self):
         g = DiGraph.from_edges(4, [(0, 1, 7), (1, 2, 13), (2, 3, 1)], 13)
@@ -150,14 +157,14 @@ class TestRunPhase:
     def test_edgeless_graph(self):
         g = DiGraph.from_edges(5, [])
         cfg = ReductionConfig(lam=4, h=2, ldd_repetitions=1)
-        out, trace = run_phase(g, PhasePlan(1, 0, 1), cfg, ExactTransitiveOracle(5))
+        out, trace = run_phase(g, 1, 0, cfg, ExactTransitiveOracle(5))
         assert len(out) == 0
         assert trace.oracle_calls >= 1
 
     def test_output_never_decreases_distances(self):
         g = unit_path(48)
         cfg = ReductionConfig(lam=8, h=8, ldd_repetitions=2, eps=Fraction(1, 2))
-        out, _ = run_phase(g, PhasePlan(1, 0, 1), cfg, ExactTransitiveOracle(48))
+        out, _ = run_phase(g, 1, 0, cfg, ExactTransitiveOracle(48))
         before = dist_all_pairs(g)
         after = dist_all_pairs(g, out)
         assert np.all((after >= before) | ~np.isfinite(before))
@@ -165,8 +172,8 @@ class TestRunPhase:
 
     def test_repetitions_share_one_adjacency(self, monkeypatch):
         # one LDD per repetition and strong component, one (forward,
-        # reverse) adjacency per strong component and graph: phases with
-        # sigma = 1 run on the same graph and share it
+        # reverse) adjacency per strong component and graph: the bands
+        # that do not scale run on the same graph and share it
         built, decompositions = [], []
         adjacency = ldd._adjacency
         decompose = shallow_reduce.low_diameter_decomposition
@@ -183,13 +190,14 @@ class TestRunPhase:
         monkeypatch.setattr(shallow_reduce, "low_diameter_decomposition", counted_decompose)
         cfg = ReductionConfig(lam=8, h=8, ldd_repetitions=3, eps=Fraction(1, 2))
         cycle = generate(GeneratorSpec("cycle", n=48))
-        _, trace = run_phase(cycle, PhasePlan(1, 1, 2), cfg, ExactTransitiveOracle(48))
+        # band 2 is the first that scales at eps = 1/2 (sigma = 2)
+        _, trace = run_phase(cycle, 1, 2, cfg, ExactTransitiveOracle(48))
         # the cycle is one strong component: one decomposition per repetition
         assert len(decompositions) == 3
         assert [r["decompositions"] for r in trace.repetitions] == [1, 1, 1]
         assert built == [16, 16]
         for j in (0, 1):
-            run_phase(cycle, PhasePlan(1, j, 1), cfg, ExactTransitiveOracle(48))
+            run_phase(cycle, 1, j, cfg, ExactTransitiveOracle(48))
         assert len(decompositions) == 9
         assert built == [16, 16] * 2
 
@@ -205,7 +213,7 @@ CONTRACT_CFG = ReductionConfig(lam=4, h=4, eps=Fraction(1, 2), ldd_repetitions=4
 
 def recorded_phases(monkeypatch, name):
     """Run band 0 and band 3 of one epoch on a contract input; return
-    (scaled graph, plan, the LddResult of each repetition) per phase."""
+    (scaled graph, band, the LddResult of each repetition) per phase."""
     decompose = shallow_reduce._StrongParts.decompose
     results = []
 
@@ -218,10 +226,8 @@ def recorded_phases(monkeypatch, name):
     cfg = CONTRACT_CFG
     phases = []
     for j in (0, 3):
-        plan = PhasePlan(1, j, phase_sigma(j, cfg.eps))
-        run_phase(g, plan, cfg, ExactTransitiveOracle(g.vertex_count))
-        scaled = g if plan.sigma == 1 else scale_down_graph(g, j, cfg.eps)
-        phases.append((scaled, plan, results[:]))
+        run_phase(g, 1, j, cfg, ExactTransitiveOracle(g.vertex_count))
+        phases.append((scale_down_graph(g, j, cfg.eps), j, results[:]))
         results.clear()
     return phases
 
@@ -265,10 +271,10 @@ class TestStrongComponentDecomposition:
         # reference: one LDD per multi-vertex strong component, the k-th in
         # topological order seeded by spawn key (epoch, phase, rep, 0, k)
         d = CONTRACT_CFG.lam * CONTRACT_CFG.h // 2
-        for scaled, plan, results in recorded_phases(monkeypatch, name):
+        for scaled, j, results in recorded_phases(monkeypatch, name):
             assert len(results) == CONTRACT_CFG.ldd_repetitions
             for r, res in enumerate(results):
-                key = (plan.epoch_index, plan.phase_index, r, 0)
+                key = (1, j, r, 0)
                 components, removed = [], []
                 for k, comp in enumerate(scc_topological(scaled)):
                     if len(comp) == 1:
@@ -294,7 +300,7 @@ class TestStrongComponentDecomposition:
         monkeypatch.setattr(shallow_reduce, "low_diameter_decomposition", counted)
         g = unit_path(48)
         cfg = ReductionConfig(lam=4, h=4, ldd_repetitions=3)
-        out, trace = run_phase(g, PhasePlan(1, 0, 1), cfg, ExactTransitiveOracle(48))
+        out, trace = run_phase(g, 1, 0, cfg, ExactTransitiveOracle(48))
         assert calls == []
         assert [r["decompositions"] for r in trace.repetitions] == [0, 0, 0]
         assert [r["removed_edges"] for r in trace.repetitions] == [0, 0, 0]
@@ -351,6 +357,42 @@ class TestReduceHopset:
         cfg = ReductionConfig(lam=4, h=3, ldd_repetitions=1)
         report = reduce_hopset(g, cfg, ExactTransitiveOracle(4))
         assert report.measured_stretch == 1
+
+
+class ShortenedOracle(ExactTransitiveOracle):
+    """Faulty: every returned length of 2 or more comes back 1 too short."""
+
+    def build(self, call, rng=None):
+        out = super().build(call, rng)
+        lengths = np.where(out.lengths >= 2, out.lengths - 1, out.lengths)
+        return WeightedEdgeSet.from_arrays(out.tails, out.heads, lengths)
+
+
+class BackEdgeOracle(ExactTransitiveOracle):
+    """Faulty: returns one edge, from the last vertex back to vertex 0."""
+
+    def build(self, call, rng=None):
+        return WeightedEdgeSet.from_arrays([call.graph.vertex_count - 1], [0], [1])
+
+
+class TestFaultyOracle:
+    """The epoch loop checks what a pluggable oracle returns against the
+    distances of the input."""
+
+    def test_too_short_lengths_are_clamped(self):
+        g = unit_path(16)
+        cfg = ReductionConfig(lam=4, h=4, ldd_repetitions=1)
+        report = reduce_hopset(g, cfg, ShortenedOracle(16))
+        assert report.clamp_count > 0
+        assert report.to_json()["clamp_count"] == report.clamp_count
+        check = verify_distance_preservation(g, report.hopset)
+        assert check.passed, check.violations[:3]
+
+    def test_edge_between_unreachable_vertices_is_an_error(self):
+        g = unit_path(16)
+        cfg = ReductionConfig(lam=4, h=4, ldd_repetitions=1)
+        with pytest.raises(RuntimeError, match=r"unreachable vertices \(15, 0\)"):
+            reduce_hopset(g, cfg, BackEdgeOracle(16))
 
 
 class TestReduceShortcut:
