@@ -311,9 +311,12 @@ def _cmd_verify(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default=".")
+def _add_common(p: argparse.ArgumentParser, seed: bool = True, out_dir: bool = True) -> None:
+    """--json on every subcommand; --seed and --out-dir where they are read."""
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if out_dir:
+        p.add_argument("--out-dir", default=".")
     p.add_argument("--json", action="store_true", help="print one JSON document, not the summary")
 
 
@@ -351,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, default=2)
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
-    _add_common(p)
+    _add_common(p, out_dir=False)
     p.set_defaults(func=_cmd_ldd)
 
     p = sub.add_parser("dag-reduce", help="clustered-DAG reduction on one graph")
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, default=1)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
-    _add_common(p)
+    _add_common(p, seed=False, out_dir=False)
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .graphs import DiGraph, WeightedEdgeSet
+from .graphs import DiGraph, Record, WeightedEdgeSet
 from .oracles import OracleCall, ShallowOracle, checked_call
 
 _INT = np.int64
@@ -61,33 +61,21 @@ class ClusteredInput:
 
 
 @dataclass(frozen=True)
-class DagIterationRecord:
+class DagIterationRecord(Record):
     index: int
     alpha0: Fraction
     group_count: int
     stripped_edge_count: int
     hopset_size: int
 
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "alpha0": str(self.alpha0),
-            "group_count": self.group_count,
-            "stripped_edge_count": self.stripped_edge_count,
-            "hopset_size": self.hopset_size,
-        }
-
 
 @dataclass
-class DagReduceTrace:
+class DagReduceTrace(Record):
     iterations: list[DagIterationRecord] = field(default_factory=list)
 
     @property
     def oracle_calls(self) -> int:
         return len(self.iterations)
-
-    def to_json(self) -> dict:
-        return {"iterations": [r.to_json() for r in self.iterations]}
 
 
 def reduce_clustered_dag(

@@ -5,7 +5,9 @@ Distances are kept as float64 matrices with ``numpy.inf`` as the
 unreachable sentinel; all finite entries are exact integers (edge lengths
 are bounded by N which is polynomial in n, far below 2**53). Hopsets and
 shortcuts share one canonical edge-row format (sorted, unique, read-only
-int64 columns that compare by value), whose one home is _EdgeRows.
+int64 columns that compare by value), whose one home is _EdgeRows. The
+records of a run (verification, clustered-DAG, phase and reduction reports)
+share one JSON form, whose one home is Record.to_json.
 
 A DiGraph never changes, so what is derived from it (its CSR matrices, its
 condensation closure, the LDD's adjacency at each d) is built on first use
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
@@ -243,6 +246,31 @@ class _EdgeRows:
         if type(other) is not type(self):
             return NotImplemented
         return all(map(np.array_equal, self._columns(), other._columns()))
+
+
+class Record:
+    """Base of the dataclass records that report.json is made of. to_json
+    writes the fields in order: a nested Record as an object, a list or
+    tuple as a list, a Fraction as its str, every other value as it is. A
+    field declared with metadata={"json": False} is left out.
+    """
+
+    def to_json(self) -> dict:
+        return {
+            f.name: _json_value(getattr(self, f.name))
+            for f in fields(self)
+            if f.metadata.get("json", True)
+        }
+
+
+def _json_value(value):
+    if isinstance(value, Record):
+        return value.to_json()
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
 
 
 @dataclass(frozen=True, eq=False)

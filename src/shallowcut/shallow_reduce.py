@@ -31,10 +31,11 @@ from typing import Optional
 
 import numpy as np
 
-from .dag_reduce import ClusteredInput, reduce_clustered_dag
+from .dag_reduce import ClusteredInput, DagIterationRecord, reduce_clustered_dag
 from .graphs import (
     DiGraph,
     EdgeSet,
+    Record,
     WeightedEdgeSet,
     dist_all_pairs,
     group_blocks,
@@ -153,33 +154,38 @@ def build_stars(components, star_length: int) -> WeightedEdgeSet:
     return WeightedEdgeSet.from_arrays(t, h, np.full(len(t), star_length, dtype=_INT))
 
 
-@dataclass
-class PhaseTrace:
-    epoch_index: int
-    phase_index: int
+@dataclass(frozen=True)
+class RepetitionTrace(Record):
+    """One repetition of a phase: its LDDs (one per strong component with
+    two or more vertices), the edges they removed and the components they
+    left, and the clustered-DAG reduction's rounds and scaled-up sample."""
+
+    decompositions: int
+    removed_edges: int
+    components: int
+    oracle_calls: int
+    sample_size: int
+    dag_iterations: list[DagIterationRecord]
+
+
+@dataclass(frozen=True)
+class PhaseTrace(Record):
+    epoch: int
+    phase: int
     sigma: int
-    repetitions: list[dict] = field(default_factory=list)
-    output_size: int = 0
-
-    @property
-    def oracle_calls(self) -> int:
-        return sum(r["oracle_calls"] for r in self.repetitions)
-
-    def to_json(self) -> dict:
-        return {
-            "epoch": self.epoch_index,
-            "phase": self.phase_index,
-            "sigma": self.sigma,
-            "repetitions": self.repetitions,
-            "output_size": self.output_size,
-            "oracle_calls": self.oracle_calls,
-        }
+    repetitions: list[RepetitionTrace]
+    output_size: int
+    oracle_calls: int
 
 
 @dataclass
-class ReductionReport:
-    hopset: WeightedEdgeSet
-    epoch_traces: list[list[PhaseTrace]]
+class ReductionReport(Record):
+    # the hopset and the shortcut are written as artifacts, not into the JSON
+    hopset: WeightedEdgeSet = field(metadata={"json": False})
+    epochs: list[list[PhaseTrace]]
+    total_size: int
+    oracle_calls: int
+    ldd_calls: int
     clamp_count: int
     lambda_prime: float
     lambda_prime_clamped: bool
@@ -189,43 +195,8 @@ class ReductionReport:
     measured_stretch: Optional[Fraction] = None
     measured_hopbound: Optional[int] = None
     epoch_hop_metrics: list[int] = field(default_factory=list)
-    shortcut: Optional[EdgeSet] = None
+    shortcut: Optional[EdgeSet] = field(default=None, metadata={"json": False})
     verification: Optional[VerificationReport] = None
-
-    @property
-    def total_size(self) -> int:
-        return len(self.hopset)
-
-    @property
-    def oracle_calls(self) -> int:
-        return sum(tr.oracle_calls for epoch in self.epoch_traces for tr in epoch)
-
-    @property
-    def ldd_calls(self) -> int:
-        reps = (r for epoch in self.epoch_traces for tr in epoch for r in tr.repetitions)
-        return sum(r["decompositions"] for r in reps)
-
-    def to_json(self) -> dict:
-        return {
-            "total_size": self.total_size,
-            "oracle_calls": self.oracle_calls,
-            "ldd_calls": self.ldd_calls,
-            "clamp_count": self.clamp_count,
-            "lambda_prime": self.lambda_prime,
-            "lambda_prime_clamped": self.lambda_prime_clamped,
-            "epoch_count": self.epoch_count,
-            "phase_count": self.phase_count,
-            "repetitions": self.repetitions,
-            "measured_stretch": None
-            if self.measured_stretch is None
-            else str(self.measured_stretch),
-            "measured_hopbound": self.measured_hopbound,
-            "epoch_hop_metrics": self.epoch_hop_metrics,
-            "epochs": [[p.to_json() for p in epoch] for epoch in self.epoch_traces],
-            "verification": None
-            if self.verification is None
-            else self.verification.to_json(),
-        }
 
 
 def run_phase(
@@ -246,10 +217,9 @@ def run_phase(
     reps = cfg.repetitions(g_prev.vertex_count)
     d = (cfg.lam * cfg.h) // 2
     sigma = phase_sigma(phase, cfg.eps)
-    trace = PhaseTrace(epoch, phase, sigma)
     scaled = scale_down_graph(g_prev, phase, cfg.eps)
     parts = scaled._derived("strong parts", _StrongParts.of)
-    outputs = []
+    outputs, repetitions = [], []
     for r in range(reps):
         key = (epoch, phase, r)
         dag_seed = np.random.SeedSequence(cfg.seed, spawn_key=key + (1,))
@@ -262,19 +232,13 @@ def run_phase(
         )
         sample = WeightedEdgeSet.union(hopset, stars).scaled(sigma)
         outputs.append(sample)
-        trace.repetitions.append(
-            {
-                "decompositions": len(parts.graphs),
-                "removed_edges": len(result.removed_edges),
-                "components": len(result.components),
-                "oracle_calls": dag_trace.oracle_calls,
-                "sample_size": len(sample),
-                "dag_iterations": [rec.to_json() for rec in dag_trace.iterations],
-            }
-        )
+        repetitions.append(RepetitionTrace(
+            len(parts.graphs), len(result.removed_edges), len(result.components),
+            dag_trace.oracle_calls, len(sample), dag_trace.iterations,
+        ))
     union = WeightedEdgeSet.union(*outputs) if outputs else WeightedEdgeSet.empty()
-    trace.output_size = len(union)
-    return union, trace
+    calls = sum(rep.oracle_calls for rep in repetitions)
+    return union, PhaseTrace(epoch, phase, sigma, repetitions, len(union), calls)
 
 
 @dataclass(frozen=True)
@@ -386,7 +350,7 @@ def _run_epochs(
     cur = WeightedEdgeSet.empty()
     g_cur = g
     clamp_count = 0
-    epoch_traces: list[list[PhaseTrace]] = []
+    traces: list[list[PhaseTrace]] = []
     epoch_hop_metrics: list[int] = []
     for i in range(1, epochs + 1):
         phase_outputs = []
@@ -408,7 +372,7 @@ def _run_epochs(
                     out = WeightedEdgeSet.from_arrays(out.tails, out.heads, fixed)
             phase_outputs.append(out)
             phase_traces.append(tr)
-        epoch_traces.append(phase_traces)
+        traces.append(phase_traces)
         cur = WeightedEdgeSet.union(cur, *phase_outputs).min_per_pair()
         g_cur = g.with_extra(cur)
         if shortcut:
@@ -417,9 +381,13 @@ def _run_epochs(
         elif measure:
             epoch_hop_metrics.append(_hop_metric(g_cur))
 
+    phase_list = [tr for epoch in traces for tr in epoch]
     report = ReductionReport(
         hopset=cur,
-        epoch_traces=epoch_traces,
+        epochs=traces,
+        total_size=len(cur),
+        oracle_calls=sum(tr.oracle_calls for tr in phase_list),
+        ldd_calls=sum(rep.decompositions for tr in phase_list for rep in tr.repetitions),
         clamp_count=clamp_count,
         lambda_prime=lp,
         lambda_prime_clamped=cfg.lambda_prime_unclamped(n) < 2.0,

@@ -24,6 +24,7 @@ from scipy.sparse.csgraph import connected_components
 from .graphs import (
     DiGraph,
     EdgeSet,
+    Record,
     WeightedEdgeSet,
     condensation_closure,
     dist_all_pairs,
@@ -49,39 +50,25 @@ class SizeCeilingError(ValueError):
 
 
 @dataclass
-class Violation:
+class Violation(Record):
     kind: str
     witness: tuple
     expected: Any
     actual: Any
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "witness": list(self.witness),
-            "expected": str(self.expected),
-            "actual": str(self.actual),
-        }
+        """Record.to_json with expected and actual written as strings; the
+        object keeps their values."""
+        return {**super().to_json(), "expected": str(self.expected), "actual": str(self.actual)}
 
 
 @dataclass
-class VerificationReport:
+class VerificationReport(Record):
     passed: bool
     violations: list[Violation] = field(default_factory=list)
     violation_count: int = 0
     measured_stretch: Optional[Fraction] = None
     measured_hopbound: Optional[int] = None
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "violation_count": self.violation_count,
-            "violations": [v.to_json() for v in self.violations],
-            "measured_stretch": None
-            if self.measured_stretch is None
-            else str(self.measured_stretch),
-            "measured_hopbound": self.measured_hopbound,
-        }
 
 
 def _guard(n: int, ceiling: int) -> None:
@@ -267,6 +254,8 @@ def verify_ldd(
     rec = _Recorder()
     seen: dict[int, int] = {}
     for i, comp in enumerate(result.components):
+        if not comp:
+            rec.add("not-a-partition", (i,), "a nonempty component", "empty")
         for v in comp:
             if v in seen or v < 0 or v >= g.vertex_count:
                 rec.add("not-a-partition", (v,), "exactly one component", i)

@@ -382,8 +382,22 @@ class TestCliBadValues:
         )
         capsys.readouterr()
         argv = [arg.format(**files) for arg in argv]
-        assert main(argv + ["--out-dir", str(tmp_path / "run")]) == 2
+        if argv[0] in ("gen", "dag-reduce", "reduce"):
+            argv += ["--out-dir", str(tmp_path / "run")]
+        assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "g.txt", "--kind", "clustered", "--seed", "1"],
+        ["verify", "g.txt", "--kind", "clustered", "--out-dir", "x"],
+        ["ldd", "g.txt", "--d", "4", "--out-dir", "x"],
+    ], ids=["verify-seed", "verify-out-dir", "ldd-out-dir"])
+    def test_flag_the_subcommand_does_not_read(self, capsys, argv):
+        # a subcommand declares only the flags it reads
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCliVerify:
@@ -429,6 +443,17 @@ class TestCliVerify:
               "--block-size", "3", "--out", str(graph)])
         assert main(["verify", str(graph), "--kind", "clustered", "--d", "2"]) == 0
         assert main(["verify", str(graph), "--kind", "clustered", "--d", "1"]) == 1
+
+    def test_empty_component_exits_one(self, tmp_path, capsys):
+        graph, decomposition = tmp_path / "g.txt", tmp_path / "d.json"
+        main(["gen", "--family", "cycle", "--n", "4", "--out", str(graph)])
+        decomposition.write_text('{"removed_edges": [], "components": [[0, 1, 2, 3], []]}')
+        capsys.readouterr()
+        assert main(["verify", str(graph), "--kind", "ldd", "--decomposition",
+                     str(decomposition), "--d", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["violations"][0]["kind"] == "not-a-partition"
+        assert err == ""
 
     @pytest.mark.parametrize(
         "args, text",

@@ -1,5 +1,6 @@
 """General reduction: scaling, stars, epochs, and the two top drivers."""
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -194,7 +195,7 @@ class TestRunPhase:
         _, trace = run_phase(cycle, 1, 2, cfg, ExactTransitiveOracle(48))
         # the cycle is one strong component: one decomposition per repetition
         assert len(decompositions) == 3
-        assert [r["decompositions"] for r in trace.repetitions] == [1, 1, 1]
+        assert [r.decompositions for r in trace.repetitions] == [1, 1, 1]
         assert built == [16, 16]
         for j in (0, 1):
             run_phase(cycle, 1, j, cfg, ExactTransitiveOracle(48))
@@ -302,9 +303,9 @@ class TestStrongComponentDecomposition:
         cfg = ReductionConfig(lam=4, h=4, ldd_repetitions=3)
         out, trace = run_phase(g, 1, 0, cfg, ExactTransitiveOracle(48))
         assert calls == []
-        assert [r["decompositions"] for r in trace.repetitions] == [0, 0, 0]
-        assert [r["removed_edges"] for r in trace.repetitions] == [0, 0, 0]
-        assert [r["components"] for r in trace.repetitions] == [48, 48, 48]
+        assert [r.decompositions for r in trace.repetitions] == [0, 0, 0]
+        assert [r.removed_edges for r in trace.repetitions] == [0, 0, 0]
+        assert [r.components for r in trace.repetitions] == [48, 48, 48]
         # nothing cut, so one clustered-DAG run reaches every pair
         assert len(out) == 48 * 47 // 2
 
@@ -341,7 +342,7 @@ class TestReduceHopset:
         cfg = ReductionConfig(lam=8, h=8, ldd_repetitions=2)
         report = reduce_hopset(g, cfg, ExactTransitiveOracle(32))
         from_traces = sum(
-            tr.oracle_calls for epoch in report.epoch_traces for tr in epoch
+            tr.oracle_calls for epoch in report.epochs for tr in epoch
         )
         assert report.oracle_calls == from_traces
         # every strong component of a path is one vertex: no LDD runs
@@ -349,7 +350,7 @@ class TestReduceHopset:
         assert report.to_json()["ldd_calls"] == 0
         cycle = generate(GeneratorSpec("cycle", n=32))
         report = reduce_hopset(cycle, cfg, ExactTransitiveOracle(32))
-        phases = sum(len(epoch) for epoch in report.epoch_traces)
+        phases = sum(len(epoch) for epoch in report.epochs)
         assert report.ldd_calls == 2 * phases > 0
 
     def test_shallow_graph_already_within_budget(self):
@@ -357,6 +358,39 @@ class TestReduceHopset:
         cfg = ReductionConfig(lam=4, h=3, ldd_repetitions=1)
         report = reduce_hopset(g, cfg, ExactTransitiveOracle(4))
         assert report.measured_stretch == 1
+
+
+class TestReportJson:
+    """report.json is the report's fields, less the two written as
+    artifacts, and json.dumps takes it as it is."""
+
+    @staticmethod
+    def report(mode):
+        g = generate(GeneratorSpec("cycle", n=12))
+        cfg = ReductionConfig(lam=4, h=4, ldd_repetitions=2)
+        if mode == "shortcut":
+            report = reduce_shortcut(g, cfg, ExactReachabilityOracle(12))
+            report.verification = verify_shortcut(g, report.shortcut, cfg.h)
+        else:
+            report = reduce_hopset(g, cfg, ExactTransitiveOracle(12))
+            report.verification = verify_distance_preservation(g, report.hopset)
+        return report
+
+    @pytest.mark.parametrize("mode", ["hopset", "shortcut"])
+    def test_keys_are_the_fields(self, mode):
+        doc = self.report(mode).to_json()
+        names = {f.name for f in dataclasses.fields(shallow_reduce.ReductionReport)}
+        assert set(doc) == names - {"hopset", "shortcut"}
+        reps = [rep for epoch in doc["epochs"] for tr in epoch for rep in tr["repetitions"]]
+        rep_names = {f.name for f in dataclasses.fields(shallow_reduce.RepetitionTrace)}
+        assert reps and all(set(rep) == rep_names for rep in reps)
+
+    @pytest.mark.parametrize("mode", ["hopset", "shortcut"])
+    def test_dumps_with_no_default(self, mode):
+        report = self.report(mode)
+        doc = json.loads(json.dumps(report.to_json()))
+        assert doc["verification"]["passed"] is True
+        assert doc["total_size"] == len(report.hopset)
 
 
 class ShortenedOracle(ExactTransitiveOracle):
@@ -472,7 +506,7 @@ class TestReduceShortcut:
         cfg = ReductionConfig(lam=4, h=4, ldd_repetitions=2)
         cycle = generate(GeneratorSpec("cycle", n=64))
         report = reduce_shortcut(cycle, cfg, Recording(64))
-        epochs = len(report.epoch_traces)
+        epochs = len(report.epochs)
         assert epochs >= 2 and report.oracle_calls >= 2 * epochs
         assert len(closed) == report.oracle_calls + epochs
         assert len({id(g) for g in closed}) == len(closed)
@@ -512,7 +546,7 @@ class TestPinnedShortcuts:
             )
             assert verify_shortcut(g, report.shortcut, 16).passed
             assert report.shortcut == closure
-            assert len(report.epoch_traces) == 1 and report.ldd_calls == 0
+            assert len(report.epochs) == 1 and report.ldd_calls == 0
             got.append(_edge_digest(report.shortcut))
         assert got == self.PINNED[n]
 

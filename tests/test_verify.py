@@ -275,6 +275,13 @@ class TestVerifyLdd:
             assert not report.passed
             assert (9,) in [v.witness for v in report.violations if v.kind == "not-a-partition"]
 
+    def test_empty_component_fails_partition(self):
+        # a decomposition read from a file may list an empty component: it
+        # is a violation, not a crash in the weak-diameter check
+        report = verify_ldd(unit_cycle(4), 4, LddResult((), ((0, 1, 2, 3), ())))
+        assert not report.passed
+        assert [(v.kind, v.witness) for v in report.violations] == [("not-a-partition", (1,))]
+
     def test_out_of_range_removed_edge_fails(self):
         g = unit_path(4)
         for removed in ((7,), (-1,)):
