@@ -18,7 +18,6 @@ from shallowcut import (
     ExactReachabilityOracle,
     ExactTransitiveOracle,
     GeneratorSpec,
-    LddParams,
     ReductionConfig,
     generate,
     low_diameter_decomposition,
@@ -39,9 +38,8 @@ def main() -> None:
 
     print("== low-diameter decomposition (random digraph, n=120) ==")
     g = generate(GeneratorSpec("random-gnm", n=120, m=400, big_n=4, seed=args.seed))
-    params = LddParams(d=16, seed=args.seed)
-    result = low_diameter_decomposition(g, params)
-    report = verify_ldd(g, params.d, result)
+    result = low_diameter_decomposition(g, 16, np.random.SeedSequence(args.seed))
+    report = verify_ldd(g, 16, result)
     print(
         f"components={len(result.components)} removed={len(result.removed_edges)} "
         f"max_weak_diam={report.measured_hopbound} verified={report.passed}"
@@ -52,7 +50,7 @@ def main() -> None:
     cinput = ClusteredInput(chain, tuple(scc_topological(chain)), 3)
     hopset, trace = reduce_clustered_dag(
         cinput, ExactTransitiveOracle(chain.vertex_count), 3, 4, Fraction(1, 2),
-        seed_seq=np.random.SeedSequence(args.seed),
+        np.random.SeedSequence(args.seed),
     )
     check = verify_hopset(chain, hopset, Fraction(3, 2) ** trace.oracle_calls, 4)
     print(

@@ -30,7 +30,6 @@ from .graphs import (
     strong_diameter,
 )
 from .ldd import (
-    LddParams,
     LddResult,
     ball,
     estimate_removal_probability,
@@ -89,7 +88,6 @@ __all__ = [
     "scc_topological",
     "strong_diameter",
     "induced_subgraph",
-    "LddParams",
     "LddResult",
     "ball",
     "find_balanced_set",

@@ -13,6 +13,7 @@ above `--ceiling`, as it does under `--no-verify`.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -37,7 +38,7 @@ from .fileio import (
 )
 from .generators import FAMILIES, GeneratorSpec, generate
 from .graphs import DiGraph, scc_topological
-from .ldd import LddParams, LddResult, estimate_removal_probability, low_diameter_decomposition
+from .ldd import LddResult, estimate_removal_probability, low_diameter_decomposition
 from .oracles import ExactReachabilityOracle, ExactTransitiveOracle, HubSamplingOracle
 from .shallow_reduce import ReductionConfig, reduce_hopset, reduce_shortcut
 from .verify import (
@@ -174,10 +175,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_ldd(args) -> int:
     g = _load_graph(args.graph)
-    params = _from_flags(LddParams, d=args.d, c=args.c, seed=args.seed)
     if args.trials < 0:
         raise CliError("--trials must be nonnegative")
-    result = low_diameter_decomposition(g, params)
+    result = _from_flags(low_diameter_decomposition, g, args.d, np.random.SeedSequence(args.seed))
     report = verify_ldd(g, args.d, result, ceiling=args.ceiling)
     payload = {
         "removed_edges": list(result.removed_edges),
@@ -186,7 +186,7 @@ def _cmd_ldd(args) -> int:
         "max_weak_diameter": report.measured_hopbound,
     }
     if args.trials:
-        freq = estimate_removal_probability(g, params, args.trials)
+        freq = estimate_removal_probability(g, args.d, args.trials, args.seed)
         payload["removal_frequency_max"] = float(freq.max()) if len(freq) else 0.0
         payload["removal_frequency_median"] = float(np.median(freq)) if len(freq) else 0.0
     _emit(args, payload, f"components={len(result.components)} "
@@ -203,8 +203,7 @@ def _cmd_dag_reduce(args) -> int:
     cinput = ClusteredInput(g, comps, cfg.lam * cfg.h)
     oracle = _make_oracle(args.oracle, g.vertex_count, args.hub_rate)
     hopset, trace = reduce_clustered_dag(
-        cinput, oracle, cfg.lam, cfg.h, cfg.eps,
-        seed_seq=np.random.SeedSequence(cfg.seed),
+        cinput, oracle, cfg.lam, cfg.h, cfg.eps, np.random.SeedSequence(cfg.seed)
     )
     out = _out_dir(args) / "dag-hopset.txt"
     write_weighted_edge_set(hopset, out)
@@ -253,8 +252,9 @@ def _cmd_reduce(args) -> int:
     else:
         edges_path = out / "hopset.txt"
         write_weighted_edge_set(report.hopset, edges_path)
+    doc = report.to_json()
     report_path = out / "report.json"
-    report_path.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+    report_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     # the reproducibility record of this run
     manifest = {
         "config": {
@@ -277,7 +277,7 @@ def _cmd_reduce(args) -> int:
         verified = "skipped"
     else:
         verified = "yes" if report.verification.passed else "NO"
-    _emit(args, report.to_json(), f"mode={args.mode} size={report.total_size} "
+    _emit(args, doc, f"mode={args.mode} size={report.total_size} "
           f"oracle_calls={report.oracle_calls} clamps={report.clamp_count} verified={verified}")
     return EXIT_VERIFY if verified == "NO" else EXIT_OK
 
@@ -333,7 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="shallowcut",
         description="Hopset and shortcut construction for directed graphs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # flags match by full name only: argparse would otherwise read a prefix
+    # such as --c as the flag it abbreviates (--ceiling)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     p = sub.add_parser("gen", help="generate a graph file")
     p.add_argument("--family", choices=FAMILIES, required=True)
@@ -351,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ldd", help="run the low-diameter decomposition")
     p.add_argument("graph")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--c", type=int, default=2)
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
     _add_common(p, out_dir=False)

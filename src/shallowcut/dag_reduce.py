@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Optional
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -84,22 +83,21 @@ def reduce_clustered_dag(
     lam: int,
     h: int,
     eps: Fraction,
-    seed_seq: Optional[np.random.SeedSequence] = None,
+    seed_seq: np.random.SeedSequence,
 ) -> tuple[WeightedEdgeSet, DagReduceTrace]:
     """Run the merge-and-call loop until a single group remains.
 
     Returns the union of all oracle outputs together with the per-iteration
-    trace. With the exact reference oracle the result is an (alpha, h)-hopset
-    for alpha = (1 + eps)^iterations. The bound of 2 log_lambda(n)
-    iterations needs lambda >= 9.
+    trace. Call i draws from seed_seq's spawn key extended by (i,). With
+    the exact reference oracle the result is an (alpha, h)-hopset for
+    alpha = (1 + eps)^iterations. The bound of 2 log_lambda(n) iterations
+    needs lambda >= 9.
     """
     if lam < 2:
         raise ValueError("lambda must be at least 2")
     if cinput.cluster_diameter > lam * h:
         raise ValueError("cluster_diameter must be at most lambda * h")
     group = cinput.validate()
-    if seed_seq is None:
-        seed_seq = np.random.SeedSequence(0)
 
     g = cinput.graph
     eps = Fraction(eps)

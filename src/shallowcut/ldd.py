@@ -1,9 +1,12 @@
 """Randomized directed low-diameter decomposition.
 
 Splits a digraph into topologically ordered strongly connected pieces of
-weak diameter at most d by removing a small random set of edges. Balls are
-grown with depth-bounded searches (integer-weighted edges behave like
-chains of unit edges, so a bounded BFS and a bounded Dijkstra agree);
+weak diameter at most d by removing a small random set of edges. Its
+inputs are d and the caller's SeedSequence, nothing else: the sampling
+constant is the analysis's c = 2 (c log n samples per node, ball radii
+geometric with parameter c log n / d), and it picks no seed of its own.
+Balls are grown with depth-bounded searches (integer-weighted edges behave
+like chains of unit edges, so a bounded BFS and a bounded Dijkstra agree);
 edges longer than the radius are simply never traversed.
 
 Every recursive piece is a vertex subset of the one input graph, held as a
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,20 +59,8 @@ _Adjacency = list[list[tuple[int, int]]]
 # masks with more members than this are listed through numpy
 _DENSE = 32
 
-
-@dataclass(frozen=True)
-class LddParams:
-    """d: diameter target; c: sampling constant; seed: base RNG seed."""
-
-    d: int
-    c: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be at least 1")
-        if self.c < 1:
-            raise ValueError("c must be at least 1")
+# the analysis's sampling constant c
+_C = 2
 
 
 @dataclass(frozen=True)
@@ -197,27 +188,18 @@ def ball(g: DiGraph, v: int, radius: int, direction: str, within=None) -> set[in
 
 
 def find_balanced_set(
-    g: DiGraph,
-    v_prime,
-    params: LddParams,
-    direction: str,
-    rng: np.random.Generator,
+    g: DiGraph, v_prime, d: int, direction: str, rng: np.random.Generator
 ) -> set[int]:
     """Grow balls of truncated-geometric radii around v_prime (visited in a
     seeded random order) until the union exceeds a tenth of the vertices,
     or v_prime is exhausted."""
     n = g.vertex_count
-    adj = _adjacency(g._csr if direction == "out" else g._csr_rev, params.d // 4)
-    union = _balanced(adj, (1 << n) - 1, n, _mask(v_prime), params.d, params.c, rng)
-    return set(_members(union))
-
-
-def _geom_p(c: int, d: int, n: int) -> float:
-    return min(c * math.log2(max(n, 2)) / d, 1.0)
+    adj = _adjacency(g._csr if direction == "out" else g._csr_rev, d // 4)
+    return set(_members(_balanced(adj, (1 << n) - 1, n, _mask(v_prime), d, rng)))
 
 
 def _balanced(
-    adj: _Adjacency, piece: int, nv: int, centers: int, d: int, c: int, rng: np.random.Generator
+    adj: _Adjacency, piece: int, nv: int, centers: int, d: int, rng: np.random.Generator
 ) -> int:
     """FindBalancedSet on the piece (nv vertices) around the centers mask;
     returns the union of the balls grown."""
@@ -229,7 +211,8 @@ def _balanced(
     rng.shuffle(verts)  # the draws rng.permutation makes
     cap = d // 4
     if cap >= 1:
-        radii = np.minimum(rng.geometric(_geom_p(c, d, nv), size=len(verts)), cap).tolist()
+        p = min(_C * math.log2(max(nv, 2)) / d, 1.0)
+        radii = np.minimum(rng.geometric(p, size=len(verts)), cap).tolist()
     else:
         radii = [0] * len(verts)
     union = 0
@@ -241,21 +224,19 @@ def _balanced(
 
 
 def low_diameter_decomposition(
-    g: DiGraph,
-    params: LddParams,
-    seed_seq: Optional[np.random.SeedSequence] = None,
+    g: DiGraph, d: int, seed_seq: np.random.SeedSequence
 ) -> LddResult:
     """Decompose g into topologically ordered SCC-shaped components of weak
-    diameter at most params.d; returns the removed edges alongside.
+    diameter at most d; returns the removed edges alongside.
 
-    Deterministic given (params.seed, params.c, params.d).
+    Deterministic given (g, d, seed_seq).
     """
-    if seed_seq is None:
-        seed_seq = np.random.SeedSequence(params.seed)
+    if d < 1:
+        raise ValueError("d must be at least 1")
     n = g.vertex_count
     if n == 0:
         return LddResult((), ())
-    run = _Decomposition(g, _graph_adjacency(g, params.d), params.d, params.c)
+    run = _Decomposition(g, _graph_adjacency(g, d), d)
     run.node((1 << n) - 1, np.arange(g.edge_count, dtype=_INT), _Seed.of(seed_seq))
     removed = (
         np.unique(np.concatenate(run.removed)) if run.removed else np.empty(0, dtype=_INT)
@@ -314,11 +295,11 @@ class _Decomposition:
     removed edge-index chunks to ``removed`` and their coarse vertex groups
     (masks) to ``groups`` in topological order."""
 
-    def __init__(self, g: DiGraph, adj: tuple[_Adjacency, _Adjacency], d: int, c: int):
+    def __init__(self, g: DiGraph, adj: tuple[_Adjacency, _Adjacency], d: int):
         self.n = g.vertex_count
         self.tails, self.heads = g.tails, g.heads
         self.fwd, self.rev = adj
-        self.d, self.c = d, c
+        self.d = d
         self.removed: list[np.ndarray] = []
         self.groups: list[int] = []
 
@@ -338,7 +319,7 @@ class _Decomposition:
             if piece:
                 self.groups.append(piece)
             return
-        d, c = self.d, self.c
+        d = self.d
 
         # Trivial accept: if every vertex is within d/2 of the lowest-id one
         # in both directions, the whole set already has weak diameter at
@@ -355,7 +336,7 @@ class _Decomposition:
         # versa. The counts are bit-sliced: plane i holds bit i of each
         # vertex's count.
         r4 = d // 4
-        n_samples = max(1, math.ceil(c * math.log2(max(nv, 2))))
+        n_samples = max(1, math.ceil(_C * math.log2(max(nv, 2))))
         ids = _members(piece)
         in_planes: list[int] = []
         out_planes: list[int] = []
@@ -375,11 +356,11 @@ class _Decomposition:
         # Case 1: one side is balanced; split on it and recurse. A split
         # ends the node's draws (children draw from their own seeds), so
         # A_out is only grown when A_in does not split.
-        a_in = _balanced(self.rev, piece, nv, in_light, d, c, rng)
+        a_in = _balanced(self.rev, piece, nv, in_light, d, rng)
         if nv < 10 * a_in.bit_count() <= 9 * nv:
             self.split(piece, a_in, edges, seed, into=True)
             return
-        a_out = _balanced(self.fwd, piece, nv, out_light, d, c, rng)
+        a_out = _balanced(self.fwd, piece, nv, out_light, d, rng)
         if nv < 10 * a_out.bit_count() <= 9 * nv:
             self.split(piece, a_out, edges, seed, into=False)
             return
@@ -467,17 +448,14 @@ def _refine_to_sccs(g: DiGraph, removed: np.ndarray, coarse: list[int]) -> list[
     return [tuple(ids[v] for v in comp) for comp in scc_topological(blocks)]
 
 
-def estimate_removal_probability(
-    g: DiGraph, params: LddParams, trials: int
-) -> np.ndarray:
-    """Per-edge empirical frequency of removal over independent seeded runs."""
+def estimate_removal_probability(g: DiGraph, d: int, trials: int, seed: int) -> np.ndarray:
+    """Per-edge empirical frequency of removal over trials runs, run t seeded
+    by spawn key (t,) of seed."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     freq = np.zeros(g.edge_count)
     for t in range(trials):
-        res = low_diameter_decomposition(
-            g, params, seed_seq=np.random.SeedSequence(params.seed, spawn_key=(t,))
-        )
+        res = low_diameter_decomposition(g, d, np.random.SeedSequence(seed, spawn_key=(t,)))
         if res.removed_edges:
             freq[np.asarray(res.removed_edges, dtype=_INT)] += 1.0
     return freq / trials

@@ -7,12 +7,16 @@ hopset bringing the hopbound down to h, with a declared linear size law
 implement `build_shortcut` and reach the epoch loop through
 `ShortcutOracleAdapter`.
 
-`checked_call` enforces the size law on every call. Neither the
-shallow-input promise nor the hopset an oracle returns is checked at run
-time, since each check costs all-pairs passes per call:
-`tests/test_oracles.py` records the calls and outputs of small runs and
-checks both with the brute-force verifiers. This module depends on
-`graphs` alone.
+`checked_call` enforces the size law on every call, and
+`shortcut_as_hopset` rejects a shortcut edge whose tail does not reach its
+head in the call's graph. In hopset mode `shallow_reduce._run_epochs`
+holds each phase's edges against the input's exact distances: it raises on
+an edge between unreachable vertices and clamps one shorter than the
+distance up to it. Neither the shallow-input
+promise nor the hopbound an oracle's output reaches is checked at run time,
+since each check costs all-pairs passes per call: `tests/test_oracles.py`
+records the calls and outputs of small runs and checks both with the
+brute-force verifiers. This module depends on `graphs` alone.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ from .graphs import (
     hop_limited_dist,
     scc_topological,
 )
-from .ldd import LddParams, LddResult, low_diameter_decomposition
+from .ldd import LddResult, low_diameter_decomposition
 from .oracles import ShallowOracle, ShortcutOracleAdapter
 from .verify import VerificationReport, _hop_radius, max_stretch
 
@@ -228,7 +228,7 @@ def run_phase(
         clustered = result.remaining_graph(scaled).with_extra(stars)
         cinput = ClusteredInput(clustered, tuple(result.components), cfg.lam * cfg.h)
         hopset, dag_trace = reduce_clustered_dag(
-            cinput, oracle, cfg.lam, cfg.h, cfg.eps, seed_seq=dag_seed
+            cinput, oracle, cfg.lam, cfg.h, cfg.eps, dag_seed
         )
         sample = WeightedEdgeSet.union(hopset, stars).scaled(sigma)
         outputs.append(sample)
@@ -281,7 +281,7 @@ class _StrongParts:
         removed = [np.empty(0, dtype=_INT)]
         for k, sub in self.graphs.items():
             ss = np.random.SeedSequence(seed, spawn_key=key + (0, k))
-            result = low_diameter_decomposition(sub, LddParams(d=d), seed_seq=ss)
+            result = low_diameter_decomposition(sub, d, ss)
             verts = self.sccs[k]
             pieces[k] = [tuple(verts[v] for v in piece) for piece in result.components]
             removed.append(self.edges[k][list(result.removed_edges)])

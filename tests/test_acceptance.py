@@ -18,7 +18,6 @@ from shallowcut import (
     ExactReachabilityOracle,
     ExactTransitiveOracle,
     GeneratorSpec,
-    LddParams,
     OracleSizeLaw,
     ReductionConfig,
     dist_all_pairs,
@@ -97,7 +96,7 @@ def test_criterion_01_ldd_contract():
         g = random_graph(rng)
         d = int(rng.integers(4, 65))
         for seed in range(5):
-            result = low_diameter_decomposition(g, LddParams(d=d, seed=seed))
+            result = low_diameter_decomposition(g, d, np.random.SeedSequence(seed))
             if not verify_ldd(g, d, result).passed:
                 failures += 1
     elapsed = time.perf_counter() - t0
@@ -119,7 +118,7 @@ def test_criterion_02_ldd_removal_probability():
     medians, max_ok = [], True
     details = []
     for d in (32, 64, 128):
-        freq = estimate_removal_probability(g, LddParams(d=d, seed=0), 400)
+        freq = estimate_removal_probability(g, d, 400, 0)
         bound = C * log2n_sq / d
         if freq.max() > bound:
             max_ok = False
@@ -139,8 +138,7 @@ def _run_criterion_3():
     cinput = ClusteredInput(g, tuple(scc_topological(g)), 3)
     oracle = ExactTransitiveOracle(g.vertex_count)
     hopset, trace = reduce_clustered_dag(
-        cinput, oracle, 3, 4, Fraction(1, 2),
-        seed_seq=np.random.SeedSequence(0),
+        cinput, oracle, 3, 4, Fraction(1, 2), np.random.SeedSequence(0)
     )
     return g, hopset, trace
 
@@ -333,7 +331,7 @@ def test_criterion_08_oracle_size_law():
     o1 = _RecordingOracle(ExactTransitiveOracle(g1.vertex_count))
     reduce_clustered_dag(
         ClusteredInput(g1, tuple(scc_topological(g1)), 3), o1, 3, 4, Fraction(1, 2),
-        seed_seq=np.random.SeedSequence(0),
+        np.random.SeedSequence(0),
     )
     calls += [(m0, size, o1.size_law) for m0, size in o1.calls]
 

@@ -1,5 +1,6 @@
 """Generators and the command-line front end."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -177,6 +178,36 @@ class TestCliLdd:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestCliLddPinned:
+    """`ldd --json` output on cyclic inputs, d 8 and 16, seeds 0-2: sha256
+    prefixes of [removed_edges, components], recorded from the
+    implementation that seeded the CLI's decomposition through LddParams."""
+
+    DIGESTS = {
+        ("cycle", 8): ["3a7e46ebd163", "cb569cf17e7f", "407f0df4b31e"],
+        ("cycle", 16): ["1d000a84cfc2", "2e848788bdac", "515aedb26a9b"],
+        ("scc-chain", 8): ["d5bcb9ff9e3c", "f4afaec23900", "bf245c5a63be"],
+        ("scc-chain", 16): ["24099d89e1f7", "32a64778322c", "48c35903f410"],
+    }
+    FLAGS = {
+        "cycle": ["--n", "64"],
+        "scc-chain": ["--blocks", "16", "--block-size", "4"],
+    }
+
+    @pytest.mark.parametrize("family, d", list(DIGESTS))
+    def test_digests(self, tmp_path, capsys, family, d):
+        graph = tmp_path / "g.txt"
+        main(["gen", "--family", family, *self.FLAGS[family], "--out", str(graph)])
+        got = []
+        for seed in range(3):
+            capsys.readouterr()
+            assert main(["ldd", str(graph), "--d", str(d), "--seed", str(seed), "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            key = json.dumps([doc["removed_edges"], doc["components"]])
+            got.append(hashlib.sha256(key.encode()).hexdigest()[:12])
+        assert got == self.DIGESTS[(family, d)]
+
+
 class TestCliJson:
     """Under --json, stdout is one JSON document and nothing else."""
 
@@ -352,7 +383,6 @@ class TestCliBadValues:
         REDUCE + ["--oracle", "hub", "--hub-rate", "2"],
         ["reduce", "{weighted}", "--mode", "shortcut", "--lambda", "4", "--h", "4"],
         ["ldd", "{unit}", "--d", "0"],
-        ["ldd", "{unit}", "--d", "4", "--c", "0"],
         ["ldd", "{unit}", "--d", "4", "--trials", "-1"],
         ["dag-reduce", "{unit}", "--lambda", "1", "--h", "4"],
         ["verify", "{unit}", "--kind", "hopset", "--edges", "{hopset}", "--h", "-1"],
@@ -364,7 +394,7 @@ class TestCliBadValues:
     ], ids=[
         "gen-N-0", "reduce-lambda-1", "reduce-h-0", "reduce-eps-0", "reduce-reps-0",
         "reduce-reps-minus-1", "reduce-hub-rate-2", "reduce-shortcut-weighted", "ldd-d-0",
-        "ldd-c-0", "ldd-trials-minus-1", "dag-reduce-lambda-1", "verify-hopset-h-minus-1",
+        "ldd-trials-minus-1", "dag-reduce-lambda-1", "verify-hopset-h-minus-1",
         "verify-shortcut-weighted", "verify-hopset-alpha-half", "verify-ldd-d-minus-1",
         "verify-clustered-d-minus-1",
     ])
@@ -391,7 +421,8 @@ class TestCliBadValues:
         ["verify", "g.txt", "--kind", "clustered", "--seed", "1"],
         ["verify", "g.txt", "--kind", "clustered", "--out-dir", "x"],
         ["ldd", "g.txt", "--d", "4", "--out-dir", "x"],
-    ], ids=["verify-seed", "verify-out-dir", "ldd-out-dir"])
+        ["ldd", "g.txt", "--d", "4", "--c", "2"],
+    ], ids=["verify-seed", "verify-out-dir", "ldd-out-dir", "ldd-c"])
     def test_flag_the_subcommand_does_not_read(self, capsys, argv):
         # a subcommand declares only the flags it reads
         with pytest.raises(SystemExit) as info:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from shallowcut import (
     DiGraph,
     EdgeSet,
-    LddParams,
     WeightedEdgeSet,
     dist_all_pairs,
     hop_limited_dist,
@@ -206,7 +205,7 @@ class TestDiGraph:
         g = DiGraph.from_edges(4, edges, max_length_bound=3)
         # build everything a graph keeps: both CSR matrices, the closure and
         # the LDD's adjacency
-        low_diameter_decomposition(g, LddParams(d=8))
+        low_diameter_decomposition(g, 8, np.random.SeedSequence(0))
         hop_limited_dist(g, None, 2)
         pairs_reachable(g, np.array([0]), np.array([3]))
         assert {"_csr", "_csr_rev", "_kept"} <= set(vars(g))

@@ -11,7 +11,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from shallowcut import (
     DiGraph,
-    LddParams,
     ball,
     dist_all_pairs,
     estimate_removal_probability,
@@ -131,25 +130,25 @@ class TestFindBalancedSet:
     def test_empty_input(self):
         g = unit_path(8)
         rng = np.random.default_rng(0)
-        assert find_balanced_set(g, set(), LddParams(d=4), "in", rng) == set()
+        assert find_balanced_set(g, set(), 4, "in", rng) == set()
 
     def test_isolated_vertex(self):
         g = DiGraph.from_edges(5, [(1, 2, 1)])
         rng = np.random.default_rng(0)
-        assert find_balanced_set(g, {0}, LddParams(d=8), "out", rng) == {0}
+        assert find_balanced_set(g, {0}, 8, "out", rng) == {0}
 
     def test_replay_on_cycle(self):
         n = 20
         g = DiGraph.from_edges(n, [(i, (i + 1) % n, 1) for i in range(n)])
-        params = LddParams(d=16)
+        d = 16
         centers = [0, 4, 8, 12, 16]
-        a = find_balanced_set(g, centers, params, "out", np.random.default_rng(7))
+        a = find_balanced_set(g, centers, d, "out", np.random.default_rng(7))
         # replay the same permutation and radii stream, then rebuild the
         # union by brute force
         rng = np.random.default_rng(7)
         order = rng.permutation(np.array(sorted(centers)))
-        p = min(params.c * math.log2(n) / params.d, 1.0)
-        radii = np.minimum(rng.geometric(p, size=len(centers)), params.d // 4)
+        p = min(2 * math.log2(n) / d, 1.0)  # the analysis's c = 2
+        radii = np.minimum(rng.geometric(p, size=len(centers)), d // 4)
         expected = set()
         for v, r in zip(order, radii):
             expected |= ball(g, v, int(r), "out")
@@ -159,17 +158,15 @@ class TestFindBalancedSet:
 
     def test_result_balanced_or_exhausts_input(self):
         g = random_digraph(40, 120, 2, seed=3)
-        params = LddParams(d=8)
         centers = set(range(0, 40, 3))
-        a = find_balanced_set(g, centers, params, "in", np.random.default_rng(1))
+        a = find_balanced_set(g, centers, 8, "in", np.random.default_rng(1))
         assert 10 * len(a) > g.vertex_count or centers <= a
 
 
 class TestDecomposition:
     def test_empty_graph(self):
-        result = low_diameter_decomposition(
-            DiGraph.from_edges(0, []), LddParams(d=4)
-        )
+        g = DiGraph.from_edges(0, [])
+        result = low_diameter_decomposition(g, 4, np.random.SeedSequence(0))
         assert result.removed_edges == ()
         assert result.components == ()
 
@@ -177,13 +174,13 @@ class TestDecomposition:
         n = 6
         edges = [(i, j, 1) for i in range(n) for j in range(n) if i != j]
         g = DiGraph.from_edges(n, edges)
-        result = low_diameter_decomposition(g, LddParams(d=64, seed=1))
+        result = low_diameter_decomposition(g, 64, np.random.SeedSequence(1))
         assert result.removed_edges == ()
         assert len(result.components) == 1
 
     def test_long_path_contract(self):
         g = unit_path(1000)
-        result = low_diameter_decomposition(g, LddParams(d=100, seed=0))
+        result = low_diameter_decomposition(g, 100, np.random.SeedSequence(0))
         report = verify_ldd(g, 100, result)
         assert report.passed, [v.to_json() for v in report.violations]
 
@@ -191,26 +188,25 @@ class TestDecomposition:
     def test_random_graph_contract(self, seed):
         g = random_digraph(120, 500, 4, seed=seed)
         d = 24
-        result = low_diameter_decomposition(g, LddParams(d=d, seed=seed))
+        result = low_diameter_decomposition(g, d, np.random.SeedSequence(seed))
         report = verify_ldd(g, d, result)
         assert report.passed, [v.to_json() for v in report.violations]
 
     def test_determinism(self):
         g = random_digraph(80, 300, 3, seed=9)
-        params = LddParams(d=16, seed=123)
-        a = low_diameter_decomposition(g, params)
-        b = low_diameter_decomposition(g, params)
+        a = low_diameter_decomposition(g, 16, np.random.SeedSequence(123))
+        b = low_diameter_decomposition(g, 16, np.random.SeedSequence(123))
         assert a == b
 
     def test_different_seed_usually_differs(self):
         g = unit_path(300)
-        a = low_diameter_decomposition(g, LddParams(d=20, seed=0))
-        b = low_diameter_decomposition(g, LddParams(d=20, seed=1))
+        a = low_diameter_decomposition(g, 20, np.random.SeedSequence(0))
+        b = low_diameter_decomposition(g, 20, np.random.SeedSequence(1))
         assert a != b
 
     def test_remaining_graph_drops_removed(self):
         g = unit_path(300)
-        result = low_diameter_decomposition(g, LddParams(d=16, seed=2))
+        result = low_diameter_decomposition(g, 16, np.random.SeedSequence(2))
         remaining = result.remaining_graph(g)
         assert remaining.edge_count == g.edge_count - len(result.removed_edges)
 
@@ -221,17 +217,15 @@ class TestDecomposition:
         monkeypatch.setattr(ldd, "_balanced", lambda adj, piece, *rest: piece)
         n, d = 16, 4
         g = DiGraph.from_edges(n, [(i, (i + 1) % n, 1) for i in range(n)])
-        result = low_diameter_decomposition(g, LddParams(d=d))
+        result = low_diameter_decomposition(g, d, np.random.SeedSequence(0))
         assert result.removed_edges == tuple(range(n))
         assert sorted(result.components) == [(v,) for v in range(n)]
         report = verify_ldd(g, d, result)
         assert report.passed, [v.to_json() for v in report.violations]
 
     def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            LddParams(d=0)
-        with pytest.raises(ValueError):
-            LddParams(d=4, c=0)
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            low_diameter_decomposition(unit_path(4), 0, np.random.SeedSequence(0))
 
 
 def _digest(result):
@@ -294,7 +288,7 @@ class TestPinnedOutputs:
     def test_unit_path(self, d):
         g = unit_path(512)
         got = [
-            _digest(low_diameter_decomposition(g, LddParams(d=d, seed=s)))
+            _digest(low_diameter_decomposition(g, d, np.random.SeedSequence(s)))
             for s in range(5)
         ]
         assert got == self.PATH[d]
@@ -304,7 +298,7 @@ class TestPinnedOutputs:
         g = unit_path(512)
         got = [
             _digest(low_diameter_decomposition(
-                g, LddParams(d=64), seed_seq=np.random.SeedSequence(0, spawn_key=(t,))
+                g, 64, np.random.SeedSequence(0, spawn_key=(t,))
             ))
             for t in range(3)
         ]
@@ -318,14 +312,14 @@ class TestPinnedOutputs:
         for g, d in ((unit_path(512), 64), (random_digraph(120, 360, 4, 5), 16)):
             ss = np.random.SeedSequence(entropy, spawn_key=key)
             ss.spawn(spawned)
-            got.append(_digest(low_diameter_decomposition(g, LddParams(d=d), seed_seq=ss)))
+            got.append(_digest(low_diameter_decomposition(g, d, ss)))
         assert tuple(got) == self.PRESPAWNED[(entropy, key, spawned)]
 
     def test_criterion_one_graphs(self):
         got = []
         for g, d in _criterion_one_graphs():
             per_seed = "".join(
-                _digest(low_diameter_decomposition(g, LddParams(d=d, seed=s)))
+                _digest(low_diameter_decomposition(g, d, np.random.SeedSequence(s)))
                 for s in range(5)
             )
             got.append(hashlib.sha256(per_seed.encode()).hexdigest()[:12])
@@ -340,7 +334,7 @@ class TestPinnedOutputs:
         h[::8] = t[::8]
         g = DiGraph.from_arrays(60, t, h, rng.integers(1, 6, size=240), 5)
         got = [
-            _digest(low_diameter_decomposition(g, LddParams(d=d, seed=s)))
+            _digest(low_diameter_decomposition(g, d, np.random.SeedSequence(s)))
             for d in (4, 8, 16)
             for s in range(3)
         ]
@@ -414,7 +408,7 @@ class TestRefineToSccs:
 
         monkeypatch.setattr(ldd, "_refine_to_sccs", recording_refine)
         for g, d in _criterion_one_graphs():
-            low_diameter_decomposition(g, LddParams(d=d))
+            low_diameter_decomposition(g, d, np.random.SeedSequence(0))
         assert all(got == want for got, want in pairs)
         assert any(splits)
 
@@ -437,7 +431,7 @@ class TestSharedAdjacency:
 
         def run(graph, d, t):
             return low_diameter_decomposition(
-                graph, LddParams(d=d), seed_seq=np.random.SeedSequence(0, spawn_key=(t,))
+                graph, d, np.random.SeedSequence(0, spawn_key=(t,))
             )
 
         first = [run(g, 16, t) for t in range(3)]
@@ -458,13 +452,13 @@ class TestSharedAdjacency:
     def test_removal_trials_share_one_build(self, monkeypatch):
         built = self._counting(monkeypatch)
         g = unit_path(40)
-        freq = estimate_removal_probability(g, LddParams(d=8), trials=5)
+        freq = estimate_removal_probability(g, 8, trials=5, seed=0)
         assert built == [4, 4]
         # the adjacency stays on g: another estimate builds nothing and
         # gives the same frequencies as a fresh graph with the same edges
-        assert np.array_equal(estimate_removal_probability(g, LddParams(d=8), trials=5), freq)
+        assert np.array_equal(estimate_removal_probability(g, 8, trials=5, seed=0), freq)
         assert built == [4, 4]
-        again = estimate_removal_probability(unit_path(40), LddParams(d=8), trials=5)
+        again = estimate_removal_probability(unit_path(40), 8, trials=5, seed=0)
         assert np.array_equal(again, freq)
         assert built == [4, 4, 4, 4]
 
@@ -474,14 +468,14 @@ class TestRemovalProbability:
         n = 6
         edges = [(i, j, 1) for i in range(n) for j in range(n) if i != j]
         g = DiGraph.from_edges(n, edges)
-        freq = estimate_removal_probability(g, LddParams(d=64, seed=0), trials=20)
+        freq = estimate_removal_probability(g, 64, trials=20, seed=0)
         assert np.all(freq == 0)
 
     def test_single_trial_binary(self):
         g = unit_path(100)
-        freq = estimate_removal_probability(g, LddParams(d=8, seed=4), trials=1)
+        freq = estimate_removal_probability(g, 8, trials=1, seed=4)
         assert set(np.unique(freq)) <= {0.0, 1.0}
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            estimate_removal_probability(unit_path(4), LddParams(d=4), trials=0)
+            estimate_removal_probability(unit_path(4), 4, trials=0, seed=0)

@@ -18,7 +18,6 @@ from shallowcut import (
     ExactReachabilityOracle,
     ExactTransitiveOracle,
     GeneratorSpec,
-    LddParams,
     ReductionConfig,
     WeightedEdgeSet,
     build_stars,
@@ -284,7 +283,7 @@ class TestStrongComponentDecomposition:
                     sub, ids = induced_subgraph(scaled, comp)
                     inside = np.isin(scaled.tails, ids) & np.isin(scaled.heads, ids)
                     seed = np.random.SeedSequence(CONTRACT_CFG.seed, spawn_key=key + (k,))
-                    local = low_diameter_decomposition(sub, LddParams(d=d), seed_seq=seed)
+                    local = low_diameter_decomposition(sub, d, seed)
                     components += [tuple(ids[list(c)].tolist()) for c in local.components]
                     removed += np.flatnonzero(inside)[list(local.removed_edges)].tolist()
                 assert res.components == tuple(components)

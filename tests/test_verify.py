@@ -12,7 +12,6 @@ from shallowcut import (
     DiGraph,
     EdgeSet,
     ExactTransitiveOracle,
-    LddParams,
     LddResult,
     OracleCall,
     SizeCeilingError,
@@ -311,7 +310,7 @@ class TestVerifyLdd:
         h = (t + 1 + rng.integers(0, 59, size=200)) % 60
         g = DiGraph.from_arrays(60, t, h, np.ones(200, dtype=np.int64))
         for seed in range(5):
-            result = low_diameter_decomposition(g, LddParams(d=12, seed=seed))
+            result = low_diameter_decomposition(g, 12, np.random.SeedSequence(seed))
             assert verify_ldd(g, 12, result).passed
 
 
