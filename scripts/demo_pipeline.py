@@ -63,9 +63,11 @@ def main() -> None:
     cfg = ReductionConfig(lam=8, h=8, eps=Fraction(1, 2), ldd_repetitions=2,
                           seed=args.seed)
     rep = reduce_hopset(wg, cfg, ExactTransitiveOracle(96))
+    check = verify_hopset(wg, rep.hopset, 1, cfg.h)
     print(
         f"|H|={rep.total_size} oracle_calls={rep.oracle_calls} clamps={rep.clamp_count} "
-        f"stretch={rep.measured_stretch} hopbound={rep.measured_hopbound}"
+        f"epochs={len(rep.epochs)}/{rep.epoch_count} hopbound={rep.epoch_hopbounds[-1]} "
+        f"stretch={check.measured_stretch}"
     )
 
     print("\n== shortcut mode (unit path, n=256) ==")

@@ -39,7 +39,7 @@ from .ldd import LddResult
 
 DEFAULT_CEILING = 2000
 _MAX_RECORDED = 100
-# distances per chunk of _farthest_pair's searches (8 MB of float64)
+# distances per chunk of a source-chunked search (8 MB of float64)
 _CELLS = 1 << 20
 # set bits of each byte value
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -140,10 +140,13 @@ def verify_hopset(
     )
 
 
-def max_stretch(dist: np.ndarray, dist_h: np.ndarray) -> Fraction:
-    """Largest dist_h / dist over the pairs at positive finite distance that
-    dist_h reaches, as an exact fraction; at least 1."""
-    pairs = np.isfinite(dist) & (dist > 0) & np.isfinite(dist_h)
+def max_stretch(dist: np.ndarray, dist_h: np.ndarray) -> Optional[Fraction]:
+    """Largest dist_h / dist over the pairs at positive finite distance, as
+    an exact fraction, at least 1; None when dist_h leaves one of them
+    unreached, since no finite stretch holds then."""
+    pairs = np.isfinite(dist) & (dist > 0)
+    if not np.isfinite(dist_h[pairs]).all():
+        return None
     if not pairs.any():
         return Fraction(1)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -18,11 +18,14 @@ from shallowcut import (
     ExactReachabilityOracle,
     ExactTransitiveOracle,
     GeneratorSpec,
+    HubSamplingOracle,
     ReductionConfig,
+    SizeCeilingError,
     WeightedEdgeSet,
     build_stars,
     dist_all_pairs,
     generate,
+    hop_limited_dist,
     induced_subgraph,
     low_diameter_decomposition,
     phase_sigma,
@@ -33,6 +36,7 @@ from shallowcut import (
     scaled_length,
     scc_topological,
     verify_distance_preservation,
+    verify_hopset,
     verify_ldd,
     verify_shortcut,
 )
@@ -322,11 +326,37 @@ class TestReduceHopset:
         assert np.array_equal(dist_all_pairs(g, report.hopset), dist_all_pairs(g))
 
     def test_epoch_hop_metric_never_increases(self):
+        # few hubs, so the unit path needs several epochs to reach h hops
         g = unit_path(64)
         cfg = ReductionConfig(lam=8, h=8, ldd_repetitions=2)
-        report = reduce_hopset(g, cfg, ExactTransitiveOracle(64))
-        metrics = report.epoch_hop_metrics
+        report = reduce_hopset(g, cfg, HubSamplingOracle(64, 0.05))
+        metrics = report.epoch_hopbounds
+        assert len(metrics) >= 2
         assert metrics == sorted(metrics, reverse=True)
+
+    def test_long_hopset_edges_keep_the_stop_check(self):
+        # hopset edges up to 31 * 2^40 long: n^2 times the longest edge is
+        # past 2^53, n times the longest distance is not
+        n = 32
+        g = DiGraph.from_edges(n, [(i, i + 1, 1 << 40) for i in range(n - 1)])
+        cfg = ReductionConfig(lam=8, h=8, ldd_repetitions=1)
+        report = reduce_hopset(g, cfg, ExactTransitiveOracle(n))
+        assert report.clamp_count == 0
+        assert report.epoch_hopbounds == [1]
+        assert len(report.epochs) == 1
+        assert verify_hopset(g, report.hopset, 1, cfg.h).passed
+
+    def test_distances_past_the_exact_range_run_every_epoch(self):
+        # 16 * (15 * 2^47 + 1) is past 2^53: hops cannot be counted
+        # exactly, so no stop check runs and nothing raises
+        n = 16
+        g = DiGraph.from_edges(n, [(i, i + 1, 1 << 47) for i in range(n - 1)])
+        cfg = ReductionConfig(lam=8, h=8, ldd_repetitions=1)
+        report = reduce_hopset(g, cfg, ExactTransitiveOracle(n))
+        assert report.epoch_hopbounds == []
+        assert len(report.epochs) == report.epoch_count
+        assert report.clamp_count == 0
+        assert np.array_equal(dist_all_pairs(g, report.hopset), dist_all_pairs(g))
 
     def test_determinism(self):
         g = unit_path(48)
@@ -356,7 +386,106 @@ class TestReduceHopset:
         g = DiGraph.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
         cfg = ReductionConfig(lam=4, h=3, ldd_repetitions=1)
         report = reduce_hopset(g, cfg, ExactTransitiveOracle(4))
-        assert report.measured_stretch == 1
+        assert len(report.epochs) == 1
+        assert report.epoch_hopbounds[-1] <= cfg.h
+        assert verify_hopset(g, report.hopset, 1, cfg.h).passed
+
+
+def measure_cases():
+    """Small weighted graphs, each with a self-loop and a parallel edge,
+    and hopsets over them whose every edge is at least the true distance;
+    the unit path needs n - 1 hops from end to end."""
+    cases = [(unit_path(7), WeightedEdgeSet.empty())]
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 10))
+        m = int(rng.integers(1, 3 * n + 1))
+        t, h = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+        w = rng.integers(1, 9, size=m)
+        t, h = np.r_[t, t[0], t[0]], np.r_[h, t[0], h[0]]
+        g = DiGraph.from_arrays(n, t, h, np.r_[w, rng.integers(1, 9, size=2)], 8)
+        dist = dist_all_pairs(g)
+        u, v = np.nonzero(np.isfinite(dist) & (dist > 0))
+        pick = rng.random(len(u)) < rng.random()
+        u, v = u[pick], v[pick]
+        slack = rng.integers(0, 3, size=len(u))
+        hopset = WeightedEdgeSet.from_arrays(u, v, dist[u, v].astype(np.int64) + slack)
+        cases.append((g, hopset))
+    return cases
+
+
+class TestMeasure:
+    """_measure(G union H) is the fewest hops k for which the k-hop
+    distances of G union H are the distances of G, whenever no edge of H is
+    shorter than the true distance."""
+
+    # None keeps one chunk of sources; 1 and 16 cells split the sources
+    @pytest.mark.parametrize("cells", [None, 1, 16])
+    def test_is_the_fewest_hops_that_reach_every_distance(self, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(shallow_reduce, "_CELLS", cells)
+        for g, hopset in measure_cases():
+            dist = dist_all_pairs(g)
+            finite = np.isfinite(dist)
+            hops = shallow_reduce._measure(g.with_extra(hopset), int(dist[finite].max()))
+            for k in range(g.vertex_count + 1):
+                exact = np.array_equal(hop_limited_dist(g, hopset, k)[finite], dist[finite])
+                assert (hops <= k) == exact, (g.vertex_count, k, hops)
+
+    def test_refuses_distances_past_the_exact_float_range(self):
+        # 16 * (15 * 2^50) is past 2^53: the distances length * n + hops
+        # would round
+        g = DiGraph.from_edges(16, [(i, i + 1, (1 << 50) - i) for i in range(15)])
+        reach = int(dist_all_pairs(g)[0, 15])
+        with pytest.raises(SizeCeilingError, match=r"2\^53"):
+            shallow_reduce._measure(g, reach)
+
+    def test_edges_off_every_shortest_path_may_be_long(self):
+        # a self-loop, a parallel edge heavier than its twin and a shortcut
+        # heavier than the path it skips lie on no shortest path, so their
+        # lengths may pass the exact range
+        edges = [(i, i + 1, 1) for i in range(15)]
+        edges += [(3, 3, 1 << 60), (0, 1, 1 << 60), (0, 15, 1 << 60)]
+        assert shallow_reduce._measure(DiGraph.from_edges(16, edges), 15) == 15
+
+
+class NoEdgesOracle(ExactTransitiveOracle):
+    """Returns no edges at all."""
+
+    def build(self, call, rng=None):
+        return WeightedEdgeSet.empty()
+
+
+class TestStopRule:
+    """The epoch loop stops at the first epoch after which every reachable
+    pair has a shortest path within h hops, on random-gnm n=128 m=384 N=32
+    (generator seed 0), lambda = h = 8, eps = 1/2, two LDD repetitions,
+    seed 0: 8 epochs of 6 phases at most."""
+
+    @staticmethod
+    def run(oracle):
+        g = generate(GeneratorSpec("random-gnm", n=128, m=384, big_n=32, seed=0))
+        cfg = ReductionConfig(lam=8, h=8, eps=Fraction(1, 2), ldd_repetitions=2, seed=0)
+        report = reduce_hopset(g, cfg, oracle)
+        assert report.epoch_count == 8
+        assert len(report.epochs) == len(report.epoch_hopbounds)
+        return g, report
+
+    def test_exact_oracle_stops_after_one_epoch(self):
+        g, report = self.run(ExactTransitiveOracle(128))
+        assert report.epoch_hopbounds == [8]
+        assert report.oracle_calls == 46
+        assert verify_hopset(g, report.hopset, 1, 8).passed
+
+    def test_sampling_oracle_runs_until_the_target_holds(self):
+        g, report = self.run(HubSamplingOracle(128, 0.25))
+        assert report.epoch_hopbounds == [10, 7]
+        assert verify_hopset(g, report.hopset, 1, 8).passed
+
+    def test_runs_every_epoch_while_the_target_fails(self):
+        g, report = self.run(NoEdgesOracle(128))
+        assert report.epoch_hopbounds == [13] * 8
+        assert not verify_hopset(g, report.hopset, 1, 8).passed
 
 
 class TestReportJson:
@@ -553,12 +682,14 @@ class TestPinnedShortcuts:
 class TestPinnedHopsets:
     """Digests of reduce_hopset's hopset and of its report's JSON on
     random-gnm n=48 m=144 N=8 (generator seed 0), lambda = h = 8, eps = 1/2,
-    two LDD repetitions, seeds 0-1, recorded when run_phase began to
-    decompose each strong component on its own. Any change to the epoch
-    loop, the decompositions, the clamp, the per-epoch measurement or the
-    report's fields moves them."""
+    two LDD repetitions, seeds 0-1, recorded when the epoch loop began to
+    stop once every reachable pair has a shortest path within h hops. Each
+    case first checks the hopset on its own: it keeps every distance, no
+    clamp fired and its h-hop stretch is 1. Any change to the epoch loop,
+    the decompositions, the clamp, the stop rule or the report's fields
+    moves them."""
 
-    PINNED = {0: ("7fb54a15cc9f", "063849c23956"), 1: ("60c244b8fc15", "a894a847a9e1")}
+    PINNED = {0: ("ba6b185dc131", "d6f62d927812"), 1: ("5af12b43356f", "8b9d7d6bf04d")}
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_gnm(self, seed):
@@ -567,6 +698,7 @@ class TestPinnedHopsets:
         report = reduce_hopset(g, cfg, ExactTransitiveOracle(48))
         assert np.array_equal(dist_all_pairs(g, report.hopset), dist_all_pairs(g))
         assert report.clamp_count == 0
+        assert verify_hopset(g, report.hopset, 1, cfg.h).passed
         text = json.dumps(report.to_json(), sort_keys=True).encode()
         got = (_edge_digest(report.hopset), hashlib.sha256(text).hexdigest()[:12])
         assert got == self.PINNED[seed]

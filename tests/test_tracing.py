@@ -48,7 +48,9 @@ def test_traced_runs_reach_every_layer():
         report = shallow_reduce.reduce_shortcut(cycle, cfg, ExactReachabilityOracle(24))
         # through the module attribute, which install rebinds
         shallowcut.verify.verify_shortcut(cycle, report.shortcut, cfg.h)
-        shallow_reduce.reduce_hopset(cycle, cfg, ExactTransitiveOracle(24))
+        hopset = shallow_reduce.reduce_hopset(cycle, cfg, ExactTransitiveOracle(24)).hopset
+        # reduce_hopset measures no h-hop distances; the hopset verifier does
+        shallowcut.verify.verify_hopset(cycle, hopset, 1, cfg.h)
     finally:
         uninstall()
     spans, _ = tracer.take()

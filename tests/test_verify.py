@@ -161,6 +161,15 @@ class TestVerifyHopset:
         report = verify_hopset(g, WeightedEdgeSet.empty(), 2, 1)
         assert report.measured_stretch == Fraction(3, 2)
 
+    def test_no_stretch_when_a_pair_is_beyond_h_hops(self):
+        # 28 of the path's 45 pairs need more than 2 hops; no finite stretch
+        # holds for them, so none is reported
+        report = verify_hopset(unit_path(10), WeightedEdgeSet.empty(), 1, 2)
+        assert report.violation_count == 28
+        assert {v.kind for v in report.violations} == {"stretch-exceeded"}
+        assert report.measured_stretch is None
+        assert report.to_json()["measured_stretch"] is None
+
     def test_size_ceiling(self):
         with pytest.raises(SizeCeilingError):
             verify_hopset(unit_path(30), WeightedEdgeSet.empty(), 1, 29, ceiling=10)
