@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from shallowcut import (
-    ClusteredInput,
     ExactReachabilityOracle,
     ExactTransitiveOracle,
     GeneratorSpec,
@@ -47,10 +46,9 @@ def main() -> None:
 
     print("\n== clustered-DAG reduction (27 chained 3-cycles) ==")
     chain = generate(GeneratorSpec("scc-chain", blocks=27, block_size=3))
-    cinput = ClusteredInput(chain, tuple(scc_topological(chain)), 3)
     hopset, trace = reduce_clustered_dag(
-        cinput, ExactTransitiveOracle(chain.vertex_count), 3, 4, Fraction(1, 2),
-        np.random.SeedSequence(args.seed),
+        chain, scc_topological(chain), ExactTransitiveOracle(chain.vertex_count), 3, 4,
+        Fraction(1, 2), np.random.SeedSequence(args.seed),
     )
     check = verify_hopset(chain, hopset, Fraction(3, 2) ** trace.oracle_calls, 4)
     print(

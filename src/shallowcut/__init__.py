@@ -9,7 +9,6 @@ guarantee.
 __version__ = "0.1.0"
 
 from .dag_reduce import (
-    ClusteredInput,
     DagIterationRecord,
     DagReduceTrace,
     reduce_clustered_dag,
@@ -103,7 +102,6 @@ __all__ = [
     "HubSamplingOracle",
     "ShortcutOracleAdapter",
     "shortcut_as_hopset",
-    "ClusteredInput",
     "DagIterationRecord",
     "DagReduceTrace",
     "reduce_clustered_dag",

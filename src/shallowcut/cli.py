@@ -26,7 +26,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dag_reduce import ClusteredInput, reduce_clustered_dag
+from .dag_reduce import reduce_clustered_dag
 from .fileio import (
     FormatError,
     read_edge_set,
@@ -199,11 +199,9 @@ def _cmd_dag_reduce(args) -> int:
     cfg = _from_flags(
         ReductionConfig, lam=args.lam, h=args.h, eps=_parse_fraction(args.eps), seed=args.seed
     )
-    comps = tuple(scc_topological(g))
-    cinput = ClusteredInput(g, comps, cfg.lam * cfg.h)
     oracle = _make_oracle(args.oracle, g.vertex_count, args.hub_rate)
     hopset, trace = reduce_clustered_dag(
-        cinput, oracle, cfg.lam, cfg.h, cfg.eps, np.random.SeedSequence(cfg.seed)
+        g, scc_topological(g), oracle, cfg.lam, cfg.h, cfg.eps, np.random.SeedSequence(cfg.seed)
     )
     out = _out_dir(args) / "dag-hopset.txt"
     write_weighted_edge_set(hopset, out)

@@ -1,13 +1,15 @@
 """Hopset construction for clustered DAGs.
 
-A clustered digraph (every strongly connected component has bounded strong
+The inputs are a graph and the topological order of its strongly connected
+components. A clustered digraph (every such component has bounded strong
 diameter) already has a small approximate hopbound within each component.
 The reduction repeatedly calls the shallow oracle on the graph with all
 cross-group edges removed, then merges lambda consecutive groups along the
 topological order, so each round multiplies the per-group hopbound budget
 by at most lambda while the group count shrinks geometrically. Groups are
 one label vector: each vertex's group index, so a merge is an integer
-division by lambda and the stripped graph is one edge mask.
+division by lambda and the stripped graph is one edge mask. Each oracle
+call draws from its own stream, derived from the caller's.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -25,38 +28,31 @@ from .oracles import OracleCall, ShallowOracle, checked_call
 _INT = np.int64
 
 
-@dataclass(frozen=True)
-class ClusteredInput:
-    graph: DiGraph
-    components_topo: tuple[tuple[int, ...], ...]
-    cluster_diameter: int
+def _component_labels(g: DiGraph, components_topo: Sequence[Sequence[int]]) -> np.ndarray:
+    """Reject anything that is not a topologically ordered SCC partition of
+    g; return each vertex's component index.
 
-    def validate(self) -> np.ndarray:
-        """Reject anything that is not a topologically ordered SCC partition;
-        return each vertex's component index.
-
-        The strong-diameter bound is left to verify_clustered: it costs an
-        all-pairs computation per component.
-        """
-        g = self.graph
-        n = g.vertex_count
-        sizes = [len(comp) for comp in self.components_topo]
-        members = np.fromiter(chain.from_iterable(self.components_topo), dtype=_INT)
-        if not np.array_equal(np.sort(members), np.arange(n)):
-            raise ValueError("components do not partition the vertex set")
-        group = np.empty(n, dtype=_INT)
-        group[members] = np.repeat(np.arange(len(sizes), dtype=_INT), sizes)
-        if (group[g.tails] > group[g.heads]).any():
-            raise ValueError("component list is not in topological order")
-        if n:
-            z, labels = connected_components(g._csr, connection="strong")
-            if z != len(sizes):
-                raise ValueError("components are not the strongly connected components")
-            label_of = np.empty(z, dtype=labels.dtype)
-            label_of[group] = labels
-            if (label_of[group] != labels).any():
-                raise ValueError("a component spans several SCCs")
-        return group
+    The strong-diameter bound is left to verify_clustered: it costs an
+    all-pairs computation per component.
+    """
+    n = g.vertex_count
+    sizes = [len(comp) for comp in components_topo]
+    members = np.fromiter(chain.from_iterable(components_topo), dtype=_INT)
+    if not np.array_equal(np.sort(members), np.arange(n)):
+        raise ValueError("components do not partition the vertex set")
+    group = np.empty(n, dtype=_INT)
+    group[members] = np.repeat(np.arange(len(sizes), dtype=_INT), sizes)
+    if (group[g.tails] > group[g.heads]).any():
+        raise ValueError("component list is not in topological order")
+    if n:
+        z, labels = connected_components(g._csr, connection="strong")
+        if z != len(sizes):
+            raise ValueError("components are not the strongly connected components")
+        label_of = np.empty(z, dtype=labels.dtype)
+        label_of[group] = labels
+        if (label_of[group] != labels).any():
+            raise ValueError("a component spans several SCCs")
+    return group
 
 
 @dataclass(frozen=True)
@@ -78,30 +74,30 @@ class DagReduceTrace(Record):
 
 
 def reduce_clustered_dag(
-    cinput: ClusteredInput,
+    g: DiGraph,
+    components_topo: Sequence[Sequence[int]],
     oracle: ShallowOracle,
     lam: int,
     h: int,
     eps: Fraction,
     seed_seq: np.random.SeedSequence,
 ) -> tuple[WeightedEdgeSet, DagReduceTrace]:
-    """Run the merge-and-call loop until a single group remains.
+    """Run the merge-and-call loop on g, whose strongly connected components
+    are components_topo in topological order, until a single group remains.
 
     Returns the union of all oracle outputs together with the per-iteration
-    trace. Call i draws from seed_seq's spawn key extended by (i,). With
-    the exact reference oracle the result is an (alpha, h)-hopset for
-    alpha = (1 + eps)^iterations. The bound of 2 log_lambda(n) iterations
-    needs lambda >= 9.
+    trace. Call i draws from seed_seq's stream extended by spawn key (i,),
+    with seed_seq's entropy and pool size. With the exact reference oracle
+    the result is an (alpha, h)-hopset for alpha = (1 + eps)^iterations
+    when every component has strong diameter at most lambda * h. The bound
+    of 2 log_lambda(n) iterations needs lambda >= 9.
     """
     if lam < 2:
         raise ValueError("lambda must be at least 2")
-    if cinput.cluster_diameter > lam * h:
-        raise ValueError("cluster_diameter must be at most lambda * h")
-    group = cinput.validate()
+    group = _component_labels(g, components_topo)
 
-    g = cinput.graph
     eps = Fraction(eps)
-    group_count = len(cinput.components_topo)
+    group_count = len(components_topo)
     trace = DagReduceTrace()
     acc = WeightedEdgeSet.empty()
     alpha0 = Fraction(1)
@@ -114,7 +110,9 @@ def reduce_clustered_dag(
         stripped = current.edge_subset(group[current.tails] == group[current.heads])
         call = OracleCall(alpha0, stripped, lam * h, h)
         rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=seed_seq.entropy, spawn_key=tuple(seed_seq.spawn_key) + (i,)
+            entropy=seed_seq.entropy,
+            spawn_key=tuple(seed_seq.spawn_key) + (i,),
+            pool_size=seed_seq.pool_size,
         ))
         hopset = checked_call(oracle, call, rng)
         acc = WeightedEdgeSet.union(acc, hopset)

@@ -2,12 +2,14 @@
 diameter and reachability primitives everything else is built on.
 
 Distances are kept as float64 matrices with ``numpy.inf`` as the
-unreachable sentinel; all finite entries are exact integers (edge lengths
-are bounded by N which is polynomial in n, far below 2**53). Hopsets and
-shortcuts share one canonical edge-row format (sorted, unique, read-only
-int64 columns that compare by value), whose one home is _EdgeRows. The
-records of a run (verification, clustered-DAG, phase and reduction reports)
-share one JSON form, whose one home is Record.to_json.
+unreachable sentinel. A finite entry is an exact integer while it stays
+below 2**53; nothing here enforces that, since a DiGraph takes any int64
+length up to its N. shallow_reduce._measure packs lengths and hops into one
+weight and needs the tighter n * (longest distance + 1) <= 2**53, which it
+checks. Hopsets and shortcuts share one canonical edge-row format (sorted,
+unique, read-only int64 columns that compare by value), whose one home is
+_EdgeRows. The records of a run (verification, clustered-DAG, phase and
+reduction reports) share one JSON form, whose one home is Record.to_json.
 
 A DiGraph never changes, so what is derived from it (its CSR matrices, its
 condensation closure, the LDD's adjacency at each d) is built on first use
@@ -33,8 +35,10 @@ INF = np.inf
 
 _INT = np.int64
 
-# bool cells per block of reachable_pairs's unpacked closure rows (1 MB)
-_BLOCK_CELLS = 1 << 20
+# cells per chunk of source-chunked work: reachable_pairs's unpacked
+# closure rows (1 MB of bool) and the searches of verify and shallow_reduce
+# (8 MB of float64)
+_CELLS = 1 << 20
 
 
 def _as_int_array(values, name: str) -> np.ndarray:
@@ -539,13 +543,13 @@ def reachable_pairs(g: DiGraph) -> EdgeSet:
     """All ordered pairs (u, v), u != v, with u reaching v: the transitive
     closure minus the diagonal, in canonical (tail, head) order.
 
-    Unpacks the closure rows of blocks of vertices, at most _BLOCK_CELLS
+    Unpacks the closure rows of blocks of vertices, at most _CELLS
     bool cells (and at least one vertex) per block, so the n x n mask is
     never held at once.
     """
     labels, rows = condensation_closure(g)
     n = g.vertex_count
-    block = max(1, _BLOCK_CELLS // max(n, 1))
+    block = max(1, _CELLS // max(n, 1))
     t_parts, h_parts = [], []
     for start in range(0, n, block):
         reach = np.unpackbits(

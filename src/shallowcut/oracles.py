@@ -3,9 +3,10 @@
 An oracle receives an approximately-shallow digraph (the caller promises an
 alpha0-approximate shortest path hopbound of lambda*h) and must return a
 hopset bringing the hopbound down to h, with a declared linear size law
-|output| <= a * m0 + b. Hopset oracles implement `build`; shortcut oracles
-implement `build_shortcut` and reach the epoch loop through
-`ShortcutOracleAdapter`.
+|output| <= a * m0 + b. Hopset oracles implement `build(call, rng)`;
+shortcut oracles implement `build_shortcut(call, rng)` and reach the epoch
+loop through `ShortcutOracleAdapter`. The caller always passes the
+generator, so no oracle seeds itself.
 
 `checked_call` enforces the size law on every call, and
 `shortcut_as_hopset` rejects a shortcut edge whose tail does not reach its
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -77,14 +78,14 @@ class OracleCall:
 class ShallowOracle(Protocol):
     size_law: OracleSizeLaw
 
-    def build(self, call: OracleCall, rng: Optional[np.random.Generator] = None) -> WeightedEdgeSet:
+    def build(self, call: OracleCall, rng: np.random.Generator) -> WeightedEdgeSet:
         ...
 
 
 def checked_call(
     oracle: ShallowOracle,
     call: OracleCall,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> WeightedEdgeSet:
     """Invoke an oracle and enforce its declared size law on the result."""
     out = oracle.build(call, rng)
@@ -99,7 +100,7 @@ class ExactTransitiveOracle:
     def __init__(self, n: int):
         self.size_law = OracleSizeLaw(Fraction(0), Fraction(n * n))
 
-    def build(self, call: OracleCall, rng=None) -> WeightedEdgeSet:
+    def build(self, call: OracleCall, rng: np.random.Generator) -> WeightedEdgeSet:
         dist = dist_all_pairs(call.graph)
         np.fill_diagonal(dist, np.inf)
         t, h = np.nonzero(np.isfinite(dist))
@@ -120,9 +121,7 @@ class HubSamplingOracle:
         self.hub_rate = hub_rate
         self.size_law = OracleSizeLaw(Fraction(0), Fraction(2 * n * n))
 
-    def build(self, call: OracleCall, rng=None) -> WeightedEdgeSet:
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def build(self, call: OracleCall, rng: np.random.Generator) -> WeightedEdgeSet:
         g = call.graph
         hubs = np.flatnonzero(rng.random(g.vertex_count) < self.hub_rate)
         out_d = hop_limited_dist(g, None, call.lambda_h, sources=hubs)
@@ -145,7 +144,7 @@ class ExactReachabilityOracle:
     def __init__(self, n: int):
         self.size_law = OracleSizeLaw(Fraction(0), Fraction(n * n))
 
-    def build_shortcut(self, call: OracleCall, rng=None) -> EdgeSet:
+    def build_shortcut(self, call: OracleCall, rng: np.random.Generator) -> EdgeSet:
         return reachable_pairs(call.graph)
 
 
@@ -174,6 +173,6 @@ class ShortcutOracleAdapter:
         self.inner = inner
         self.size_law = inner.size_law
 
-    def build(self, call: OracleCall, rng=None) -> WeightedEdgeSet:
+    def build(self, call: OracleCall, rng: np.random.Generator) -> WeightedEdgeSet:
         shortcut = self.inner.build_shortcut(call, rng)
         return shortcut_as_hopset(shortcut, call.graph)

@@ -42,8 +42,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
-from .dag_reduce import ClusteredInput, DagIterationRecord, reduce_clustered_dag
+from .dag_reduce import DagIterationRecord, reduce_clustered_dag
 from .graphs import (
+    _CELLS,
     DiGraph,
     EdgeSet,
     Record,
@@ -54,7 +55,7 @@ from .graphs import (
 )
 from .ldd import LddResult, low_diameter_decomposition
 from .oracles import ShallowOracle, ShortcutOracleAdapter
-from .verify import _CELLS, SizeCeilingError, VerificationReport, _hop_radius
+from .verify import SizeCeilingError, VerificationReport, _hop_radius
 
 _INT = np.int64
 # every integer up to this is exact in float64
@@ -236,9 +237,8 @@ def run_phase(
         result = parts.decompose(d, cfg.seed, key)
         stars = build_stars(result.components, d)
         clustered = result.remaining_graph(scaled).with_extra(stars)
-        cinput = ClusteredInput(clustered, tuple(result.components), cfg.lam * cfg.h)
         hopset, dag_trace = reduce_clustered_dag(
-            cinput, oracle, cfg.lam, cfg.h, cfg.eps, dag_seed
+            clustered, result.components, oracle, cfg.lam, cfg.h, cfg.eps, dag_seed
         )
         sample = WeightedEdgeSet.union(hopset, stars).scaled(sigma)
         outputs.append(sample)

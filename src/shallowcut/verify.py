@@ -22,6 +22,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .graphs import (
+    _CELLS,
     DiGraph,
     EdgeSet,
     Record,
@@ -39,8 +40,6 @@ from .ldd import LddResult
 
 DEFAULT_CEILING = 2000
 _MAX_RECORDED = 100
-# distances per chunk of a source-chunked search (8 MB of float64)
-_CELLS = 1 << 20
 # set bits of each byte value
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from shallowcut import (
-    ClusteredInput,
     DiGraph,
     ExactReachabilityOracle,
     ExactTransitiveOracle,
@@ -80,7 +79,7 @@ class _RecordingOracle:
         self.size_law = inner.size_law
         self.calls: list[tuple[int, int]] = []
 
-    def build(self, call, rng=None):
+    def build(self, call, rng):
         out = self.inner.build(call, rng)
         self.calls.append((call.graph.edge_count, len(out)))
         return out
@@ -135,10 +134,9 @@ def test_criterion_02_ldd_removal_probability():
 
 def _run_criterion_3():
     g = generate(GeneratorSpec("scc-chain", blocks=27, block_size=3))
-    cinput = ClusteredInput(g, tuple(scc_topological(g)), 3)
     oracle = ExactTransitiveOracle(g.vertex_count)
     hopset, trace = reduce_clustered_dag(
-        cinput, oracle, 3, 4, Fraction(1, 2), np.random.SeedSequence(0)
+        g, scc_topological(g), oracle, 3, 4, Fraction(1, 2), np.random.SeedSequence(0)
     )
     return g, hopset, trace
 
@@ -330,8 +328,7 @@ def test_criterion_08_oracle_size_law():
     g1 = generate(GeneratorSpec("scc-chain", blocks=27, block_size=3))
     o1 = _RecordingOracle(ExactTransitiveOracle(g1.vertex_count))
     reduce_clustered_dag(
-        ClusteredInput(g1, tuple(scc_topological(g1)), 3), o1, 3, 4, Fraction(1, 2),
-        np.random.SeedSequence(0),
+        g1, scc_topological(g1), o1, 3, 4, Fraction(1, 2), np.random.SeedSequence(0),
     )
     calls += [(m0, size, o1.size_law) for m0, size in o1.calls]
 

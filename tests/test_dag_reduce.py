@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from shallowcut import (
-    ClusteredInput,
     DiGraph,
     ExactTransitiveOracle,
     GeneratorSpec,
+    HubSamplingOracle,
     WeightedEdgeSet,
     generate,
     reduce_clustered_dag,
@@ -28,10 +28,6 @@ def unit_path(n):
     return DiGraph.from_edges(n, [(i, i + 1, 1) for i in range(n - 1)])
 
 
-def clustered(g, diameter):
-    return ClusteredInput(g, tuple(scc_topological(g)), diameter)
-
-
 class RecordingOracle(ExactTransitiveOracle):
     """The exact oracle, keeping every call and its output."""
 
@@ -39,7 +35,7 @@ class RecordingOracle(ExactTransitiveOracle):
         super().__init__(n)
         self.calls = []
 
-    def build(self, call, rng=None):
+    def build(self, call, rng):
         out = super().build(call, rng)
         self.calls.append((call, out))
         return out
@@ -48,9 +44,7 @@ class RecordingOracle(ExactTransitiveOracle):
 def call_edges(g, components, lam):
     """Run the reduction with the exact oracle; return each call's edge list."""
     oracle = RecordingOracle(g.vertex_count)
-    _, trace = reduce_clustered_dag(
-        ClusteredInput(g, components, 1), oracle, lam, 4, Fraction(1, 2), SEED
-    )
+    _, trace = reduce_clustered_dag(g, components, oracle, lam, 4, Fraction(1, 2), SEED)
     return trace, [sorted(call.graph.edges()) for call, _ in oracle.calls]
 
 
@@ -102,28 +96,29 @@ class TestStripCrossEdges:
 
 class TestClusteredInput:
     def test_validate_accepts_scc_order(self):
+        # the first call keeps exactly the edges inside a component
         g = generate(GeneratorSpec("scc-chain", blocks=4, block_size=3))
-        cinput = clustered(g, 3)
-        group = cinput.validate()
-        for i, comp in enumerate(cinput.components_topo):
-            assert group[list(comp)].tolist() == [i] * len(comp)
-        assert len(group) == g.vertex_count
+        components = tuple(scc_topological(g))
+        group = {v: i for i, comp in enumerate(components) for v in comp}
+        trace, calls = call_edges(g, components, 3)
+        assert trace.iterations[0].group_count == len(components)
+        assert calls[0] == sorted(e for e in g.edges() if group[e[0]] == group[e[1]])
         assert verify_clustered(g, 3).passed
 
     def test_rejects_non_partition(self):
         g = unit_path(3)
-        with pytest.raises(ValueError):
-            ClusteredInput(g, ((0,), (1,)), 4).validate()
+        with pytest.raises(ValueError, match="partition"):
+            call_edges(g, ((0,), (1,)), 3)
 
     def test_rejects_wrong_order(self):
         g = unit_path(3)
-        with pytest.raises(ValueError):
-            ClusteredInput(g, ((2,), (1,), (0,)), 4).validate()
+        with pytest.raises(ValueError, match="topological order"):
+            call_edges(g, ((2,), (1,), (0,)), 3)
 
     def test_rejects_split_scc(self):
         g = DiGraph.from_edges(2, [(0, 1, 1), (1, 0, 1)])
         with pytest.raises(ValueError):
-            ClusteredInput(g, ((0,), (1,)), 4).validate()
+            call_edges(g, ((0,), (1,)), 3)
 
     # the partition cases list three vertex ids, as many as the graph has
     @pytest.mark.parametrize("components, message", [
@@ -138,7 +133,7 @@ class TestClusteredInput:
         # 0 <-> 1 is one SCC, 2 another, edge 1 -> 2 between them
         g = DiGraph.from_edges(3, [(0, 1, 1), (1, 0, 1), (1, 2, 1)])
         with pytest.raises(ValueError, match=message):
-            ClusteredInput(g, components, 4).validate()
+            call_edges(g, components, 3)
 
 
 class TestReduceClusteredDag:
@@ -146,7 +141,7 @@ class TestReduceClusteredDag:
         g = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
         oracle = ExactTransitiveOracle(3)
         hopset, trace = reduce_clustered_dag(
-            clustered(g, 2), oracle, 3, 4, Fraction(1, 2), SEED
+            g, scc_topological(g), oracle, 3, 4, Fraction(1, 2), SEED
         )
         assert trace.oracle_calls == 1
         assert verify_hopset(g, hopset, 1, 1).passed
@@ -155,7 +150,7 @@ class TestReduceClusteredDag:
         g = generate(GeneratorSpec("scc-chain", blocks=27, block_size=3))
         oracle = ExactTransitiveOracle(g.vertex_count)
         hopset, trace = reduce_clustered_dag(
-            clustered(g, 3), oracle, 3, 4, Fraction(1, 2), SEED
+            g, scc_topological(g), oracle, 3, 4, Fraction(1, 2), SEED
         )
         assert [r.group_count for r in trace.iterations] == [27, 9, 3, 1]
         assert [str(r.alpha0) for r in trace.iterations] == ["1", "3/2", "9/4", "27/8"]
@@ -170,9 +165,7 @@ class TestReduceClusteredDag:
         g = generate(GeneratorSpec("scc-chain", blocks=10, block_size=3))
         oracle = RecordingOracle(g.vertex_count)
         components = tuple(scc_topological(g))
-        _, trace = reduce_clustered_dag(
-            ClusteredInput(g, components, 3), oracle, 3, 4, Fraction(1, 2), SEED
-        )
+        _, trace = reduce_clustered_dag(g, components, oracle, 3, 4, Fraction(1, 2), SEED)
         assert [r.group_count for r in trace.iterations] == [10, 4, 2, 1]
         acc = WeightedEdgeSet.empty()
         for r, (rec, (call, out)) in enumerate(zip(trace.iterations, oracle.calls, strict=True)):
@@ -187,14 +180,14 @@ class TestReduceClusteredDag:
         g = unit_path(3)
         with pytest.raises(ValueError, match="lambda"):
             reduce_clustered_dag(
-                clustered(g, 1), ExactTransitiveOracle(3), 1, 4, Fraction(1), SEED
+                g, scc_topological(g), ExactTransitiveOracle(3), 1, 4, Fraction(1), SEED
             )
 
     def test_path_singletons_with_wide_lambda(self):
         g = unit_path(64)
         oracle = ExactTransitiveOracle(64)
         hopset, trace = reduce_clustered_dag(
-            clustered(g, 1), oracle, 9, 4, Fraction(1, 2), SEED
+            g, scc_topological(g), oracle, 9, 4, Fraction(1, 2), SEED
         )
         # singleton groups keep no edge
         assert [r.group_count for r in trace.iterations] == [64, 8, 1]
@@ -209,8 +202,7 @@ class TestReduceClusteredDag:
         g = generate(GeneratorSpec("scc-chain", blocks=9, block_size=3))
         oracle = ExactTransitiveOracle(g.vertex_count)
         lam, h, eps = 3, 4, Fraction(1, 2)
-        cinput = clustered(g, 3)
-        hopset, trace = reduce_clustered_dag(cinput, oracle, lam, h, eps, SEED)
+        hopset, trace = reduce_clustered_dag(g, scc_topological(g), oracle, lam, h, eps, SEED)
         gi = g.with_extra(hopset)
         alpha = (1 + eps) ** trace.oracle_calls
         assert verify_hopset(gi, WeightedEdgeSet.empty(), alpha, h).passed
@@ -218,7 +210,7 @@ class TestReduceClusteredDag:
     def test_size_recurrence_per_call(self):
         g = generate(GeneratorSpec("scc-chain", blocks=9, block_size=3))
         oracle = ExactTransitiveOracle(g.vertex_count)
-        _, trace = reduce_clustered_dag(clustered(g, 3), oracle, 3, 4, Fraction(1, 2), SEED)
+        _, trace = reduce_clustered_dag(g, scc_topological(g), oracle, 3, 4, Fraction(1, 2), SEED)
         a, b = oracle.size_law.a, oracle.size_law.b
         for rec in trace.iterations:
             assert rec.hopset_size <= a * rec.stripped_edge_count + b
@@ -227,13 +219,41 @@ class TestReduceClusteredDag:
         g = generate(GeneratorSpec("scc-chain", blocks=9, block_size=3))
         oracle = ExactTransitiveOracle(g.vertex_count)
         seed = np.random.SeedSequence(11)
-        a, _ = reduce_clustered_dag(clustered(g, 3), oracle, 3, 4, Fraction(1, 2), seed)
-        b, _ = reduce_clustered_dag(clustered(g, 3), oracle, 3, 4, Fraction(1, 2), seed)
+        a, _ = reduce_clustered_dag(g, scc_topological(g), oracle, 3, 4, Fraction(1, 2), seed)
+        b, _ = reduce_clustered_dag(g, scc_topological(g), oracle, 3, 4, Fraction(1, 2), seed)
         assert a == b
 
-    def test_rejects_diameter_above_lambda_h(self):
-        g = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
-        with pytest.raises(ValueError):
-            reduce_clustered_dag(
-                clustered(g, 100), ExactTransitiveOracle(3), 3, 4, Fraction(1), SEED
+
+class GeneratorRecordingOracle(HubSamplingOracle):
+    """The hub oracle, keeping every call, the state of the generator it
+    was given and its output."""
+
+    def __init__(self, n, rate):
+        super().__init__(n, rate)
+        self.calls = []
+
+    def build(self, call, rng):
+        state = rng.bit_generator.state
+        out = super().build(call, rng)
+        self.calls.append((call, state, out))
+        return out
+
+
+class TestSeedStreams:
+    @pytest.mark.parametrize("pool_size", [4, 8])
+    def test_call_i_draws_from_the_callers_stream_extended_by_i(self, pool_size):
+        # call i's generator is SeedSequence(entropy, spawn_key=(i,)) with
+        # the caller's pool size, so replaying it gives the same hubs
+        g = generate(GeneratorSpec("random-gnm", n=40, m=120, big_n=4, seed=0))
+        oracle = GeneratorRecordingOracle(g.vertex_count, 0.25)
+        _, trace = reduce_clustered_dag(
+            g, scc_topological(g), oracle, 3, 4, Fraction(1, 2),
+            np.random.SeedSequence(5, pool_size=pool_size),
+        )
+        assert trace.oracle_calls == len(oracle.calls) >= 2
+        for i, (call, state, out) in enumerate(oracle.calls, start=1):
+            replay = np.random.default_rng(
+                np.random.SeedSequence(5, spawn_key=(i,), pool_size=pool_size)
             )
+            assert replay.bit_generator.state == state
+            assert HubSamplingOracle(g.vertex_count, 0.25).build(call, replay) == out

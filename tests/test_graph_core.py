@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from shallowcut import (
     DiGraph,
     EdgeSet,
+    GeneratorSpec,
     WeightedEdgeSet,
     dist_all_pairs,
+    generate,
     hop_limited_dist,
     induced_subgraph,
     low_diameter_decomposition,
@@ -587,6 +589,23 @@ class TestReachablePairs:
         key = pairs.tails * n + pairs.heads
         assert np.all(np.diff(key) > 0)
         assert not np.any(pairs.tails == pairs.heads)
+
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec("cycle", n=23),
+        GeneratorSpec("scc-chain", blocks=7, block_size=3),
+        GeneratorSpec("random-gnm", n=37, m=90, big_n=1, seed=2),
+    ])
+    @pytest.mark.parametrize("rows", [2, 5])
+    def test_several_blocks_match_one_block(self, monkeypatch, spec, rows):
+        # blocks of `rows` rows, and n a multiple of neither, so the last
+        # block is shorter and each later block drops its own diagonal
+        g = generate(spec)
+        n = g.vertex_count
+        assert n % rows != 0
+        whole = reachable_pairs(g)
+        monkeypatch.setattr(graphs, "_CELLS", rows * n + 1)
+        assert reachable_pairs(g) == whole
+        assert len(whole) > 0
 
 
 class TestCondensationClosure:

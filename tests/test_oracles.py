@@ -91,22 +91,22 @@ class TestSizeLaw:
         class Oversized:
             size_law = OracleSizeLaw(Fraction(0), Fraction(1))
 
-            def build(self, call, rng=None):
+            def build(self, call, rng):
                 return WeightedEdgeSet.from_triples([(0, 2, 2), (1, 3, 2)])
 
         with pytest.raises(SizeLawViolation):
-            checked_call(Oversized(), call_on(unit_path(4)), None)
+            checked_call(Oversized(), call_on(unit_path(4)), np.random.default_rng(0))
 
 
 class TestExactTransitiveOracle:
     def test_edgeless_graph(self):
         oracle = ExactTransitiveOracle(3)
-        out = oracle.build(call_on(DiGraph.from_edges(3, [])))
+        out = oracle.build(call_on(DiGraph.from_edges(3, [])), np.random.default_rng(0))
         assert len(out) == 0
 
     def test_path_gives_all_gaps(self):
         oracle = ExactTransitiveOracle(5)
-        out = oracle.build(call_on(unit_path(5)))
+        out = oracle.build(call_on(unit_path(5)), np.random.default_rng(0))
         assert len(out) == 10
         assert dict(((t, h), w) for t, h, w in out) == {
             (i, j): j - i for i in range(5) for j in range(i + 1, 5)
@@ -117,7 +117,7 @@ class TestExactTransitiveOracle:
         t = rng.integers(0, 30, size=80)
         h = (t + 1 + rng.integers(0, 29, size=80)) % 30
         g = DiGraph.from_arrays(30, t, h, rng.integers(1, 5, size=80))
-        out = ExactTransitiveOracle(30).build(call_on(g))
+        out = ExactTransitiveOracle(30).build(call_on(g), rng)
         assert verify_hopset(g, out, 1, 1).passed
 
     def test_satisfies_protocol(self):
@@ -193,12 +193,12 @@ class TestHubSamplingOracle:
 class TestShortcutOracle:
     def test_reachability_oracle_closure(self):
         oracle = ExactReachabilityOracle(4)
-        out = oracle.build_shortcut(call_on(unit_path(4)))
+        out = oracle.build_shortcut(call_on(unit_path(4)), np.random.default_rng(0))
         assert len(out) == 6
 
     def test_adapter_wraps_as_unit_hopset(self):
         adapter = ShortcutOracleAdapter(ExactReachabilityOracle(4))
-        out = adapter.build(call_on(unit_path(4)))
+        out = adapter.build(call_on(unit_path(4)), np.random.default_rng(0))
         assert set(np.unique(out.lengths)) == {1}
 
 
@@ -225,10 +225,10 @@ class CallRecorder:
         self.calls = []
         self.outputs = []
 
-    def build(self, call, rng=None):
+    def build(self, call, rng):
         return self._keep(call, self.inner.build(call, rng))
 
-    def build_shortcut(self, call, rng=None):
+    def build_shortcut(self, call, rng):
         return self._keep(call, self.inner.build_shortcut(call, rng))
 
     def _keep(self, call, out):

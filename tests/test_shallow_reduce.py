@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from shallowcut import (
-    ClusteredInput,
     DiGraph,
     EdgeSet,
     ExactReachabilityOracle,
@@ -41,6 +40,7 @@ from shallowcut import (
     verify_shortcut,
 )
 from shallowcut import graphs, ldd, oracles, shallow_reduce
+from shallowcut.dag_reduce import _component_labels
 
 fractions = st.fractions(
     min_value=Fraction(1, 64), max_value=Fraction(64), max_denominator=64
@@ -258,8 +258,8 @@ class TestStrongComponentDecomposition:
     def test_components_are_a_clustered_input(self, monkeypatch, name):
         for scaled, _, results in recorded_phases(monkeypatch, name):
             for res in results:
-                cinput = ClusteredInput(res.remaining_graph(scaled), res.components, 16)
-                assert len(np.unique(cinput.validate())) == len(res.components)
+                group = _component_labels(res.remaining_graph(scaled), res.components)
+                assert len(np.unique(group)) == len(res.components)
 
     @pytest.mark.parametrize("name", CONTRACT_INPUTS)
     def test_result_is_an_ldd_of_the_scaled_graph(self, monkeypatch, name):
@@ -452,7 +452,7 @@ class TestMeasure:
 class NoEdgesOracle(ExactTransitiveOracle):
     """Returns no edges at all."""
 
-    def build(self, call, rng=None):
+    def build(self, call, rng):
         return WeightedEdgeSet.empty()
 
 
@@ -524,7 +524,7 @@ class TestReportJson:
 class ShortenedOracle(ExactTransitiveOracle):
     """Faulty: every returned length of 2 or more comes back 1 too short."""
 
-    def build(self, call, rng=None):
+    def build(self, call, rng):
         out = super().build(call, rng)
         lengths = np.where(out.lengths >= 2, out.lengths - 1, out.lengths)
         return WeightedEdgeSet.from_arrays(out.tails, out.heads, lengths)
@@ -533,7 +533,7 @@ class ShortenedOracle(ExactTransitiveOracle):
 class BackEdgeOracle(ExactTransitiveOracle):
     """Faulty: returns one edge, from the last vertex back to vertex 0."""
 
-    def build(self, call, rng=None):
+    def build(self, call, rng):
         return WeightedEdgeSet.from_arrays([call.graph.vertex_count - 1], [0], [1])
 
 
@@ -624,7 +624,7 @@ class TestReduceShortcut:
             return reachable(g, tails, heads)
 
         class Recording(ExactReachabilityOracle):
-            def build_shortcut(self, call, rng=None):
+            def build_shortcut(self, call, rng):
                 out = super().build_shortcut(call, rng)
                 returned.append(len(out))
                 return out

@@ -152,7 +152,9 @@ class TestVerifyHopset:
 
     def test_exact_oracle_output_passes_at_hop_one(self):
         g = unit_path(40)
-        out = ExactTransitiveOracle(40).build(OracleCall(Fraction(1), g, 40, 1))
+        out = ExactTransitiveOracle(40).build(
+            OracleCall(Fraction(1), g, 40, 1), np.random.default_rng(0)
+        )
         assert verify_hopset(g, out, 1, 1).passed
 
     def test_measured_stretch_is_exact_rational(self):
