@@ -9,11 +9,18 @@ Usage: python3 scripts/demo_pipeline.py [--seed 0]
 """
 
 import argparse
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
-from shallowcut import (
+# the package this checkout holds, whether or not one is installed
+SRC = Path(__file__).resolve().parent.parent / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
+
+from shallowcut import (  # noqa: E402
     ExactReachabilityOracle,
     ExactTransitiveOracle,
     GeneratorSpec,

@@ -292,9 +292,13 @@ class WeightedEdgeSet(_EdgeRows):
 
     @staticmethod
     def union(*sets: "WeightedEdgeSet") -> "WeightedEdgeSet":
+        """The set of all the rows of the given sets. A lone nonempty set
+        is returned as it is: it is canonical already."""
         parts = [s for s in sets if len(s)]
         if not parts:
             return WeightedEdgeSet.empty()
+        if len(parts) == 1:
+            return parts[0]
         return WeightedEdgeSet.from_arrays(
             np.concatenate([s.tails for s in parts]),
             np.concatenate([s.heads for s in parts]),
@@ -302,10 +306,14 @@ class WeightedEdgeSet(_EdgeRows):
         )
 
     def min_per_pair(self) -> "WeightedEdgeSet":
-        """Keep only the lightest edge for each (tail, head) pair."""
-        if len(self) == 0:
+        """Keep only the lightest edge for each (tail, head) pair: its first
+        row, since the rows are sorted by (tail, head, length)."""
+        t, h = self.tails, self.heads
+        first = np.ones(len(t), dtype=bool)
+        first[1:] = (t[1:] != t[:-1]) | (h[1:] != h[:-1])
+        if first.all():
             return self
-        return WeightedEdgeSet(*_sorted_unique(*self._columns(), key_columns=2))
+        return WeightedEdgeSet(t[first], h[first], self.lengths[first])
 
     def scaled(self, factor: int) -> "WeightedEdgeSet":
         if factor == 1 or len(self) == 0:
@@ -443,7 +451,9 @@ def _topo_order_of_components(ptr: np.ndarray, succ: np.ndarray) -> list[int]:
 def condensation_closure(g: DiGraph) -> tuple[np.ndarray, np.ndarray]:
     """Strong-component labels of g and the vertex sets its components
     reach: u reaches v exactly when bit v of rows[labels[u]] is set. Built
-    by _closure on first use and kept on g, both arrays read-only.
+    by _closure on first use and kept on g, both arrays read-only. They are
+    also those of g plus any edges that join pairs reachable in g, such as
+    a shortcut of g: such edges change no strong component or reach set.
 
     rows is z x ceil(n/8) uint8 for z components, packed as
     np.packbits(..., bitorder="little") packs: vertex v is bit v & 7 of

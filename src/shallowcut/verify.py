@@ -10,6 +10,10 @@ a size ceiling (the work is Theta(n^2) or worse).
 Each verifier reports through one recorder: it counts every violation and
 keeps the first _MAX_RECORDED in the order found. A check over a mask counts
 its true cells in numpy and builds Violations only for those it keeps.
+
+The hop radius of G union H reads each source's reach set from G's closure,
+kept on G, when every edge of H joins a pair reachable in G, which is then
+checked; a faulty H is judged on the closure of the union graph instead.
 """
 
 from __future__ import annotations
@@ -173,28 +177,38 @@ def verify_distance_preservation(
     return rec.report(measured_hopbound=_hop_radius(g, hopset))
 
 
-def _hop_radius(g: DiGraph, extra: Optional[WeightedEdgeSet]) -> int:
+def _hop_radius(
+    g: DiGraph, extra: Optional[WeightedEdgeSet], gu: Optional[DiGraph] = None
+) -> int:
     """Max hop count needed to connect any reachable pair u != v in
     G union extra (0 when no vertex reaches another), found by
     _farthest_pair from packed closure rows and open-source searches."""
-    return _farthest_pair(g, extra)[0]
+    return _farthest_pair(g, extra, gu)[0]
 
 
 def _farthest_pair(
-    g: DiGraph, extra: Optional[WeightedEdgeSet]
+    g: DiGraph, extra: Optional[WeightedEdgeSet], gu: Optional[DiGraph] = None
 ) -> tuple[int, Optional[tuple[int, int]]]:
     """The hop radius of G union extra and the first pair (u, v) in
-    row-major order that is that many hops apart (None at radius 0).
+    row-major order that is that many hops apart (None at radius 0). gu is
+    g.with_extra(extra); a caller that holds it passes it, so that its CSR
+    is built once.
 
-    The condensation closure of the unit-length union graph counts the
-    vertices each source reaches, by popcount of its packed row. A source
-    with an edge to each of them needs one hop, so unit-length searches run
-    only from the other sources, in chunks of at most _CELLS distances: no
-    n x n matrix is held. A source that needs a search reaches some vertex
-    two or more hops away, so at a radius above 1 the pair comes from the
-    searches; at radius 1 it is the first edge of the simple CSR.
+    A closure counts the vertices each source reaches, by popcount of its
+    packed row. When every extra edge joins a pair reachable in G, as in a
+    shortcut or a distance-preserving hopset, G union extra has G's strong
+    components and reach sets, so the rows are read from
+    condensation_closure(g), built once and kept on g. Otherwise (the
+    faulty input a verifier must judge) the unit-length union graph is
+    closed. A source with an edge to each vertex it reaches needs one hop,
+    so unit-length searches run only from the other sources, in chunks of
+    at most _CELLS distances: no n x n matrix is held. A source that needs
+    a search reaches some vertex two or more hops away, so at a radius
+    above 1 the pair comes from the searches; at radius 1 it is the first
+    edge of the simple CSR.
     """
-    gu = g.with_extra(extra)
+    if gu is None:
+        gu = g.with_extra(extra)
     n = gu.vertex_count
     if n == 0:
         return 0, None
@@ -202,7 +216,8 @@ def _farthest_pair(
         unit = gu
     else:
         unit = DiGraph(n, gu.tails, gu.heads, np.ones(gu.edge_count, dtype=np.int64), 1)
-    labels, rows = condensation_closure(unit)
+    inside = extra is None or pairs_reachable(g, extra.tails, extra.heads).all()
+    labels, rows = condensation_closure(g if inside else unit)
     reached = _POPCOUNT[rows].sum(axis=1, dtype=np.int64)[labels] - 1  # minus itself
     csr = unit._csr
     out_degree = np.diff(csr.indptr)

@@ -231,11 +231,15 @@ class TestEdgeSets:
         a = WeightedEdgeSet.from_triples([(0, 1, 1)])
         b = WeightedEdgeSet.from_triples([(1, 2, 1), (0, 1, 1)])
         assert len(WeightedEdgeSet.union(a, b)) == 2
+        # a lone nonempty part is canonical already
+        assert WeightedEdgeSet.union(a, WeightedEdgeSet.empty()) is a
+        assert WeightedEdgeSet.union(WeightedEdgeSet.empty(), b) is b
 
-    def test_min_per_pair(self):
-        es = WeightedEdgeSet.from_triples([(0, 1, 5), (0, 1, 2), (1, 2, 7)])
-        kept = es.min_per_pair()
-        assert list(kept) == [(0, 1, 2), (1, 2, 7)]
+    def test_min_per_pair(self, monkeypatch):
+        es = WeightedEdgeSet.from_triples([(0, 1, 5), (0, 1, 2), (1, 2, 7), (1, 2, 9)])
+        # the rows are canonical, so each pair's first row is kept, unsorted
+        monkeypatch.setattr(graphs, "_sorted_unique", None)
+        assert list(es.min_per_pair()) == [(0, 1, 2), (1, 2, 7)]
 
     def test_scaled(self):
         es = WeightedEdgeSet.from_triples([(0, 1, 3)])

@@ -1,6 +1,8 @@
 """The package's exported names, and the demo script that imports them."""
 
+import os
 import runpy
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -17,7 +19,20 @@ def test_every_export_resolves_once():
 
 def test_demo_pipeline_runs(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(DEMO), "--seed", "0"])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the demo prepends src/
     runpy.run_path(str(DEMO), run_name="__main__")
     out = capsys.readouterr().out
     assert out.count("verified=True") == 2
     assert "clamps=0" in out
+
+
+def test_demo_pipeline_runs_from_any_directory(tmp_path):
+    """The usage line works without PYTHONPATH or an installed package: the
+    script finds the checkout's src/ itself."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(DEMO), "--seed", "0"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("verified=True") == 2

@@ -610,9 +610,11 @@ class TestReduceShortcut:
 
     def test_one_closure_per_oracle_call_and_stop_check(self, monkeypatch):
         # the oracle closes its call's graph, shortcut_as_hopset checks the
-        # shortcut against the closure kept on that graph, and each epoch's
-        # stop rule closes the union graph: no graph is closed twice
-        closed, checked, returned = [], [], []
+        # shortcut against the closure kept on that graph, and every epoch's
+        # stop rule reads the closure of reduce_shortcut's unit-length input,
+        # since a shortcut joins only reachable pairs: no graph is closed
+        # twice and no union graph is closed at all
+        closed, checked, returned, called = [], [], [], []
         closure, reachable = graphs._closure, oracles.pairs_reachable
 
         def counted_closure(g):
@@ -626,6 +628,7 @@ class TestReduceShortcut:
         class Recording(ExactReachabilityOracle):
             def build_shortcut(self, call, rng):
                 out = super().build_shortcut(call, rng)
+                called.append(call.graph)
                 returned.append(len(out))
                 return out
 
@@ -636,8 +639,12 @@ class TestReduceShortcut:
         report = reduce_shortcut(cycle, cfg, Recording(64))
         epochs = len(report.epochs)
         assert epochs >= 2 and report.oracle_calls >= 2 * epochs
-        assert len(closed) == report.oracle_calls + epochs
+        assert len(closed) == report.oracle_calls + 1
         assert len({id(g) for g in closed}) == len(closed)
+        (base,) = [g for g in closed if not any(g is c for c in called)]
+        assert base.vertex_count == cycle.vertex_count and base.max_length_bound == 1
+        assert np.array_equal(base.tails, cycle.tails)
+        assert np.array_equal(base.heads, cycle.heads)
         # every pair the oracle returned was still checked
         assert sum(checked) == sum(returned) > 0
 

@@ -24,6 +24,7 @@ from shallowcut import (
     verify_ldd,
     verify_shortcut,
 )
+from shallowcut import graphs
 from shallowcut.graphs import dist_all_pairs, dist_from_sources
 
 
@@ -80,6 +81,8 @@ class TestHopRadius:
     @example((DiGraph.from_edges(1, []), None), 1 << 20)
     @example((DiGraph.from_edges(1, [(0, 0, 1), (0, 0, 1)]), None), 1 << 20)
     @example((unit_cycle(5), WeightedEdgeSet.from_triples([(0, 2, 3)])), 5)
+    # the extra edge joins a pair that G leaves unreachable: G's closure is wrong
+    @example((unit_path(5), WeightedEdgeSet.from_triples([(4, 0, 1)])), 1 << 20)
     @settings(max_examples=150, deadline=None)
     def test_matches_all_pairs_reference(self, case, cells):
         g, extra = case
@@ -130,6 +133,23 @@ class TestHopRadius:
             [(i, j, 1) for i in range(8) for j in range(i + 1, 8)]
         )
         assert verify._hop_radius(unit_path(8), closure) == 1
+
+    def test_reads_g_closure_unless_an_extra_edge_leaves_it(self, monkeypatch):
+        closed = []
+        closure = graphs._closure
+        monkeypatch.setattr(graphs, "_closure", lambda g: closed.append(g) or closure(g))
+        path = unit_path(8)
+        shortcut = WeightedEdgeSet.from_triples(
+            [(i, j, 1) for i in range(8) for j in range(i + 2, 8)]
+        )
+        assert verify._hop_radius(path, shortcut) == 1
+        assert len(closed) == 1 and closed[0] is path
+        # a back edge makes a cycle G does not have: the union is closed
+        closed.clear()
+        path = unit_path(8)
+        assert verify._hop_radius(path, WeightedEdgeSet.from_triples([(7, 0, 1)])) == 7
+        assert len(closed) == 2 and closed[0] is path
+        assert closed[1].edge_count == 8
 
 
 class TestVerifyHopset:
