@@ -65,7 +65,10 @@ def _format_rows(columns) -> np.ndarray:
 
     Each column becomes a right-aligned block of ASCII digits as wide as its
     widest value; one boolean mask drops the leading padding of every row
-    in row-major order, which is the file's byte order.
+    in row-major order, which is the file's byte order. Widths come from
+    comparisons with scalar powers of ten and digits from a // and - loop by
+    the scalar 10: with a scalar operand numpy takes its vectorised path,
+    where a broadcast array of divisors does not.
     """
     cells, keep = [], []
     last = len(columns) - 1
@@ -73,9 +76,15 @@ def _format_rows(columns) -> np.ndarray:
         neg = col < 0
         mag = col.astype(np.uint64)
         np.negative(mag, out=mag, where=neg)  # |int64 min| = 2^63 fits in uint64
-        width = np.searchsorted(_POW10[1:], mag, side="right") + 1 + neg
+        width = 1 + neg.astype(np.int64)
+        for power in _POW10[1 : len(str(mag.max()))]:
+            width += mag >= power
         w = int(width.max())
-        block = (mag[:, None] // _POW10[w - 1 :: -1] % 10).astype(np.uint8)
+        block = np.empty((len(col), w), dtype=np.uint8)
+        for k in range(w - 1, -1, -1):
+            rest = mag // 10
+            block[:, k] = mag - rest * 10
+            mag = rest
         block += ord("0")
         pad = w - width
         block[neg, pad[neg]] = ord("-")

@@ -246,7 +246,7 @@ def run_phase(
             len(parts.graphs), len(result.removed_edges), len(result.components),
             dag_trace.oracle_calls, len(sample), dag_trace.iterations,
         ))
-    union = WeightedEdgeSet.union(*outputs) if outputs else WeightedEdgeSet.empty()
+    union = WeightedEdgeSet.union(*outputs)
     calls = sum(rep.oracle_calls for rep in repetitions)
     return union, PhaseTrace(epoch, phase, sigma, repetitions, len(union), calls)
 
@@ -352,10 +352,12 @@ def _run_epochs(
     one hop away. Every shortcut edge joins a pair reachable in G (the
     adapter checks each against its call's graph, whose reach sets lie
     within G's), so G union H has G's reach sets: _hop_metric reads the
-    closure of g, built once per run, and closes no union graph. It is
-    given g_cur, whose CSR the next epoch's run_phase reads, so that CSR is
-    built once. On the 1,024-vertex unit path with lambda = h = 16 it took
-    0.03 s where _measure took 0.40 s.
+    closure of g, built once per run, and closes no union graph. The
+    out-degrees it compares with the reach sets come from g's CSR and cur's
+    rows, so g_cur's CSR is built only when some source needs a search;
+    then the next epoch's run_phase reads it, and otherwise builds it if
+    that epoch runs. On the 1,024-vertex unit path with lambda = h = 16 the
+    last check took 0.013 s where _measure took 0.33 s (best of 3).
 
     The loop stops at the first entry at most h. In hopset mode the clamp
     leaves no edge shorter than the true distance, so that entry is at most

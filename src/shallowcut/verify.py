@@ -14,6 +14,9 @@ its true cells in numpy and builds Violations only for those it keeps.
 The hop radius of G union H reads each source's reach set from G's closure,
 kept on G, when every edge of H joins a pair reachable in G, which is then
 checked; a faulty H is judged on the closure of the union graph instead.
+Each source's out-degree comes from G's CSR and H's canonical rows in one
+linear pass, so the union graph's CSR is built only when some source needs
+a search.
 """
 
 from __future__ import annotations
@@ -187,12 +190,17 @@ def _hop_radius(
 
 
 def _farthest_pair(
-    g: DiGraph, extra: Optional[WeightedEdgeSet], gu: Optional[DiGraph] = None
+    g: DiGraph,
+    extra: Optional[WeightedEdgeSet],
+    gu: Optional[DiGraph] = None,
+    inside: Optional[bool] = None,
 ) -> tuple[int, Optional[tuple[int, int]]]:
     """The hop radius of G union extra and the first pair (u, v) in
     row-major order that is that many hops apart (None at radius 0). gu is
     g.with_extra(extra); a caller that holds it passes it, so that its CSR
-    is built once.
+    is built once. inside says whether every extra edge joins a pair
+    reachable in G; a caller that has checked it passes it, so that it is
+    not checked again.
 
     A closure counts the vertices each source reaches, by popcount of its
     packed row. When every extra edge joins a pair reachable in G, as in a
@@ -200,33 +208,32 @@ def _farthest_pair(
     components and reach sets, so the rows are read from
     condensation_closure(g), built once and kept on g. Otherwise (the
     faulty input a verifier must judge) the unit-length union graph is
-    closed. A source with an edge to each vertex it reaches needs one hop,
-    so unit-length searches run only from the other sources, in chunks of
-    at most _CELLS distances: no n x n matrix is held. A source that needs
-    a search reaches some vertex two or more hops away, so at a radius
-    above 1 the pair comes from the searches; at radius 1 it is the first
-    edge of the simple CSR.
+    closed. The out-degrees of the simple union graph come from g's CSR,
+    kept on g, and extra's canonical rows (_simple_out_degrees). A source
+    with an edge to each vertex it reaches needs one hop, so unit-length
+    searches run only from the other sources, in chunks of at most _CELLS
+    distances: no n x n matrix is held. Only those searches, or the faulty
+    input's closure, build the union graph's CSR. A source that needs a
+    search reaches some vertex two or more hops away, so at a radius above
+    1 the pair comes from the searches; at radius 1 it is the smallest
+    (tail, head) edge of the simple union graph.
     """
-    if gu is None:
-        gu = g.with_extra(extra)
-    n = gu.vertex_count
+    n = g.vertex_count
     if n == 0:
         return 0, None
-    if gu.max_length_bound == 1:
-        unit = gu
-    else:
-        unit = DiGraph(n, gu.tails, gu.heads, np.ones(gu.edge_count, dtype=np.int64), 1)
-    inside = extra is None or pairs_reachable(g, extra.tails, extra.heads).all()
+    if inside is None:
+        inside = extra is None or bool(pairs_reachable(g, extra.tails, extra.heads).all())
+    unit = None if inside else _unit_union(g, extra, gu)
     labels, rows = condensation_closure(g if inside else unit)
     reached = _POPCOUNT[rows].sum(axis=1, dtype=np.int64)[labels] - 1  # minus itself
-    csr = unit._csr
-    out_degree = np.diff(csr.indptr)
+    out_degree, smallest = _simple_out_degrees(g, extra)
     open_sources = np.flatnonzero(out_degree < reached)
     if len(open_sources) == 0:
         if not reached.any():
             return 0, None
-        u = int(np.flatnonzero(out_degree)[0])
-        return 1, (u, int(csr.indices[csr.indptr[u]]))
+        return 1, divmod(smallest, n)
+    if unit is None:
+        unit = _unit_union(g, extra, gu)
     radius, pair = 1, None
     chunk = max(1, _CELLS // n)
     for i in range(0, len(open_sources), chunk):
@@ -239,6 +246,44 @@ def _farthest_pair(
     return radius, pair
 
 
+def _unit_union(g: DiGraph, extra: Optional[WeightedEdgeSet], gu: Optional[DiGraph]) -> DiGraph:
+    """G union extra with every length 1; gu is g.with_extra(extra) or None."""
+    if gu is None:
+        gu = g.with_extra(extra)
+    if gu.max_length_bound == 1:
+        return gu
+    return DiGraph(gu.vertex_count, gu.tails, gu.heads, np.ones(gu.edge_count, dtype=np.int64), 1)
+
+
+def _simple_out_degrees(
+    g: DiGraph, extra: Optional[WeightedEdgeSet]
+) -> tuple[np.ndarray, Optional[int]]:
+    """The out-degree of each vertex in the simple G union extra (self-loops
+    dropped, parallel edges counted once) and its smallest pair key
+    tail * n + head (None without edges), in linear passes.
+
+    g's CSR is simple already. extra's rows are canonical, sorted by
+    (tail, head), so the first row of each run of one pair counts; a pair
+    of g counts unless extra has it, which a searchsorted over extra's
+    sorted keys finds.
+    """
+    n = g.vertex_count
+    csr = g._csr
+    g_tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
+    g_keys = g_tails * n + csr.indices
+    extra = WeightedEdgeSet.empty() if extra is None else extra
+    keys = extra.tails * n + extra.heads
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first &= extra.tails != extra.heads
+    keys = keys[first]
+    if len(keys):
+        shared = keys[np.minimum(np.searchsorted(keys, g_keys), len(keys) - 1)] == g_keys
+        g_tails = g_tails[~shared]
+    out_degree = np.bincount(extra.tails[first], minlength=n) + np.bincount(g_tails, minlength=n)
+    return out_degree, min((int(k[0]) for k in (keys, g_keys) if len(k)), default=None)
+
+
 def verify_shortcut(
     g: DiGraph, shortcut: EdgeSet, h: int, ceiling: int = DEFAULT_CEILING
 ) -> VerificationReport:
@@ -249,12 +294,13 @@ def verify_shortcut(
         raise ValueError("verify_shortcut expects unit edge lengths")
     t, hd = shortcut.tails, shortcut.heads
     rec = _Recorder()
+    joined = pairs_reachable(g, t, hd)
     rec.add_where(
         "not-reachable-pair",
-        ~pairs_reachable(g, t, hd),
+        ~joined,
         lambda i: ((int(t[i]), int(hd[i])), "reachable in G", "unreachable"),
     )
-    diam, witness = _farthest_pair(g, shortcut.with_unit_lengths())
+    diam, witness = _farthest_pair(g, shortcut.with_unit_lengths(), inside=bool(joined.all()))
     if diam > h:
         rec.add("hopbound-exceeded", witness, f"<= {h}", diam)
     return rec.report(measured_hopbound=diam)

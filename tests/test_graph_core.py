@@ -235,6 +235,17 @@ class TestEdgeSets:
         assert WeightedEdgeSet.union(a, WeightedEdgeSet.empty()) is a
         assert WeightedEdgeSet.union(WeightedEdgeSet.empty(), b) is b
 
+    def test_union_of_three_overlapping_parts(self):
+        rows = [
+            [(0, 1, 2), (0, 2, 1), (3, 0, 4), (5, 5, 1)],
+            [(0, 1, 1), (0, 2, 1), (2, 3, 7), (3, 0, 4)],
+            [(0, 1, 2), (1, 0, 1), (3, 0, 4), (5, 5, 2)],
+        ]
+        parts = [WeightedEdgeSet.from_triples(r) for r in rows]
+        union = WeightedEdgeSet.union(*parts)
+        assert union == WeightedEdgeSet.from_triples(rows[0] + rows[1] + rows[2])
+        assert len(union) == 8
+
     def test_min_per_pair(self, monkeypatch):
         es = WeightedEdgeSet.from_triples([(0, 1, 5), (0, 1, 2), (1, 2, 7), (1, 2, 9)])
         # the rows are canonical, so each pair's first row is kept, unsorted

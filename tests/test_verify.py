@@ -92,6 +92,13 @@ class TestHopRadius:
     @given(graphs_with_extra(), st.sampled_from([1, 5, 1 << 20]))
     @example((unit_path(5), None), 1 << 20)
     @example((DiGraph.from_edges(3, [(2, 2, 1), (2, 0, 1), (1, 0, 4)]), None), 1 << 20)
+    # out-degree cases: an extra row that duplicates an edge of g, an extra
+    # self-loop, two extra rows of one pair, and at radius 1 a g edge with
+    # a smaller head than any extra edge of its tail
+    @example((unit_path(3), WeightedEdgeSet.from_triples([(0, 1, 1)])), 1 << 20)
+    @example((unit_path(3), WeightedEdgeSet.from_triples([(0, 0, 1)])), 1 << 20)
+    @example((unit_path(4), WeightedEdgeSet.from_triples([(0, 2, 1), (0, 2, 2)])), 1 << 20)
+    @example((unit_path(3), WeightedEdgeSet.from_triples([(0, 2, 1)])), 1 << 20)
     @settings(max_examples=150, deadline=None)
     def test_pair_is_the_first_at_the_radius(self, case, cells):
         """The pair is the first (u, v) in row-major order of the unit-length
@@ -133,6 +140,18 @@ class TestHopRadius:
             [(i, j, 1) for i in range(8) for j in range(i + 1, 8)]
         )
         assert verify._hop_radius(unit_path(8), closure) == 1
+
+    def test_builds_no_csr_of_the_union_when_no_source_is_searched(self, monkeypatch):
+        built = []
+        min_csr = graphs._min_csr
+        monkeypatch.setattr(
+            graphs, "_min_csr", lambda n, t, *rest: built.append(len(t)) or min_csr(n, t, *rest)
+        )
+        closure = WeightedEdgeSet.from_triples(
+            [(i, j, 1) for i in range(8) for j in range(i + 1, 8)]
+        )
+        assert verify._hop_radius(unit_path(8), closure) == 1
+        assert built == [7]  # the path's 7 edges; the union has 35 rows
 
     def test_reads_g_closure_unless_an_extra_edge_leaves_it(self, monkeypatch):
         closed = []
@@ -268,6 +287,27 @@ class TestVerifyShortcut:
         report = verify_shortcut(unit_path(4), EdgeSet.from_pairs([(0, 2), (0, 3), (1, 3)]), 0)
         assert report.measured_hopbound == 1
         assert [(v.kind, v.witness) for v in report.violations] == [("hopbound-exceeded", (0, 1))]
+
+    def test_one_reachability_check_unless_the_shortcut_is_faulty(self, monkeypatch):
+        calls, closed = [], []
+        reachable = verify.pairs_reachable
+        closure = graphs._closure
+        monkeypatch.setattr(
+            verify, "pairs_reachable", lambda *args: calls.append(args) or reachable(*args)
+        )
+        monkeypatch.setattr(graphs, "_closure", lambda g: closed.append(g) or closure(g))
+        path = unit_path(8)
+        shortcut = EdgeSet.from_pairs([(i, j) for i in range(8) for j in range(i + 2, 8)])
+        assert verify_shortcut(path, shortcut, 1).passed
+        assert len(calls) == 1 and len(closed) == 1 and closed[0] is path
+        # a back edge joins a pair G does not: the union graph is closed
+        calls.clear()
+        closed.clear()
+        path = unit_path(8)
+        report = verify_shortcut(path, EdgeSet.from_pairs([(7, 0)]), 7)
+        assert [v.kind for v in report.violations] == ["not-reachable-pair"]
+        assert report.measured_hopbound == 7
+        assert len(calls) == 1 and len(closed) == 2 and closed[1].edge_count == 8
 
     def test_detects_unreachable_pair_edge(self):
         report = verify_shortcut(unit_path(4), EdgeSet.from_pairs([(3, 0)]), 4)
