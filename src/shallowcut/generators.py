@@ -20,7 +20,8 @@ class GeneratorSpec:
 
     n is the vertex count, m the edge target (random-gnm only), big_n the
     maximum edge length. Family extras: layers (dag-layers), blocks and
-    block_size (scc-chain), paths (disjoint-paths).
+    block_size (scc-chain, where n is 0 or blocks * block_size), paths
+    (disjoint-paths).
     """
 
     family: str
@@ -38,6 +39,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.big_n < 1:
             raise ValueError("big_n must be at least 1")
+        if self.family == "scc-chain" and self.n not in (0, self.blocks * self.block_size):
+            raise ValueError("scc-chain needs n = 0 or n = blocks * block_size")
 
 
 def generate(spec: GeneratorSpec) -> DiGraph:

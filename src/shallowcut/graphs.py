@@ -10,6 +10,8 @@ checks. Hopsets and shortcuts share one canonical edge-row format (sorted,
 unique, read-only int64 columns that compare by value), whose one home is
 _EdgeRows. The records of a run (verification, clustered-DAG, phase and
 reduction reports) share one JSON form, whose one home is Record.to_json.
+The distance primitives read only the graph they are given: G union H is
+one graph, built by DiGraph.with_extra, and every call on it shares its CSR.
 
 A DiGraph never changes, so what is derived from it (its CSR matrices, its
 condensation closure, the LDD's adjacency at each d) is built on first use
@@ -155,9 +157,10 @@ class DiGraph:
             self.max_length_bound,
         )
 
-    def with_extra(self, extra: Optional["WeightedEdgeSet"]) -> "DiGraph":
-        """New graph with the overlay edges appended (original untouched)."""
-        if extra is None or len(extra) == 0:
+    def with_extra(self, extra: "WeightedEdgeSet") -> "DiGraph":
+        """G union extra: a new graph with extra's edges appended (this one
+        untouched), or this graph when extra is empty."""
+        if len(extra) == 0:
             return self
         t = np.concatenate([self.tails, extra.tails])
         h = np.concatenate([self.heads, extra.heads])
@@ -345,47 +348,37 @@ class EdgeSet(_EdgeRows):
 # distance primitives
 
 
-def dist_all_pairs(g: DiGraph, extra: Optional[WeightedEdgeSet] = None) -> np.ndarray:
-    """Exact all-pairs distances of G (optionally G union extra), inf when
-    unreachable."""
-    return dist_from_sources(g, None, extra=extra)
+def dist_all_pairs(g: DiGraph) -> np.ndarray:
+    """Exact all-pairs distances of g, inf when unreachable."""
+    return dist_from_sources(g, None)
 
 
-def dist_from_sources(
-    g: DiGraph,
-    sources: Optional[Sequence[int]],
-    extra: Optional[WeightedEdgeSet] = None,
-) -> np.ndarray:
-    gu = g.with_extra(extra)
-    if gu.vertex_count == 0:
+def dist_from_sources(g: DiGraph, sources: Optional[Sequence[int]]) -> np.ndarray:
+    """Exact distances of g from each source (every vertex when sources is
+    None), one row per source, inf when unreachable."""
+    if g.vertex_count == 0:
         k = 0 if sources is None else len(sources)
         return np.zeros((k, 0))
     indices = None if sources is None else np.asarray(sources, dtype=_INT)
-    return dijkstra(gu._csr, directed=True, indices=indices)
+    return dijkstra(g._csr, directed=True, indices=indices)
 
 
-def hop_limited_dist(
-    g: DiGraph,
-    extra: Optional[WeightedEdgeSet],
-    h: int,
-    sources: Optional[Sequence[int]] = None,
-) -> np.ndarray:
-    """h-restricted distances of G union extra, by h rounds of synchronous
-    relaxation over all edges (self-loops skipped).
+def hop_limited_dist(g: DiGraph, h: int, sources: Optional[Sequence[int]] = None) -> np.ndarray:
+    """h-restricted distances of g, by h rounds of synchronous relaxation
+    over all edges (self-loops skipped).
 
-    The union graph's reverse CSR lists each head's in-edges, the lightest
-    per (tail, head) pair, so each round takes the minimum over every head's
+    g's reverse CSR lists each head's in-edges, the lightest per
+    (tail, head) pair, so each round takes the minimum over every head's
     in-edges with one reduceat. Monotone nonincreasing in h, and equal to
-    dist_all_pairs once h >= n - 1 on the union graph.
+    dist_all_pairs once h >= n - 1.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
-    gu = g.with_extra(extra)
-    n = gu.vertex_count
+    n = g.vertex_count
     sources = np.arange(n, dtype=_INT) if sources is None else np.asarray(sources, dtype=_INT)
     dist = np.full((len(sources), n), INF)
     dist[np.arange(len(sources)), sources] = 0.0
-    rev = gu._csr_rev
+    rev = g._csr_rev
     if rev.nnz == 0:
         return dist
     tails, weights = rev.indices, rev.data[:, None]

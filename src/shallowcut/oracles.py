@@ -124,8 +124,8 @@ class HubSamplingOracle:
     def build(self, call: OracleCall, rng: np.random.Generator) -> WeightedEdgeSet:
         g = call.graph
         hubs = np.flatnonzero(rng.random(g.vertex_count) < self.hub_rate)
-        out_d = hop_limited_dist(g, None, call.lambda_h, sources=hubs)
-        in_d = hop_limited_dist(g.reversed(), None, call.lambda_h, sources=hubs)
+        out_d = hop_limited_dist(g, call.lambda_h, sources=hubs)
+        in_d = hop_limited_dist(g.reversed(), call.lambda_h, sources=hubs)
         for d in (out_d, in_d):
             d[np.arange(len(hubs)), hubs] = np.inf  # no edge from a hub to itself
         i, v = np.nonzero(np.isfinite(out_d))

@@ -356,8 +356,7 @@ def _run_epochs(
     out-degrees it compares with the reach sets come from g's CSR and cur's
     rows, so g_cur's CSR is built only when some source needs a search;
     then the next epoch's run_phase reads it, and otherwise builds it if
-    that epoch runs. On the 1,024-vertex unit path with lambda = h = 16 the
-    last check took 0.013 s where _measure took 0.33 s (best of 3).
+    that epoch runs.
 
     The loop stops at the first entry at most h. In hopset mode the clamp
     leaves no edge shorter than the true distance, so that entry is at most

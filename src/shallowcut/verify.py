@@ -123,15 +123,10 @@ def verify_hopset(
     is within alpha of the true distance."""
     _guard(g.vertex_count, ceiling)
     alpha = Fraction(alpha)
-    dist = dist_all_pairs(g)
-    dist_union = dist_all_pairs(g, hopset)
-    dist_h = hop_limited_dist(g, hopset, h)
+    gu = g.with_extra(hopset)
     rec = _Recorder()
-    rec.add_where(
-        "distance-decreased",
-        dist_union < dist,
-        lambda u, v: ((u, v), float(dist[u, v]), float(dist_union[u, v])),
-    )
+    dist = _record_shortened(rec, "distance-decreased", g, gu)
+    dist_h = hop_limited_dist(gu, h)
     over = np.isfinite(dist) & (
         ~np.isfinite(dist_h) | (dist_h * alpha.denominator > dist * alpha.numerator)
     )
@@ -142,7 +137,7 @@ def verify_hopset(
     )
     return rec.report(
         measured_stretch=max_stretch(dist, dist_h),
-        measured_hopbound=_hop_radius(g, hopset),
+        measured_hopbound=_hop_radius(g, hopset, gu),
     )
 
 
@@ -169,20 +164,27 @@ def verify_distance_preservation(
     parameter scale; the stretch-at-h half needs the full asymptotic
     regime and is reported as a measurement instead."""
     _guard(g.vertex_count, ceiling)
-    dist = dist_all_pairs(g)
-    dist_union = dist_all_pairs(g, hopset)
+    gu = g.with_extra(hopset)
     rec = _Recorder()
+    _record_shortened(rec, "distance-changed", g, gu)
+    return rec.report(measured_hopbound=_hop_radius(g, hopset, gu))
+
+
+def _record_shortened(rec: _Recorder, kind: str, g: DiGraph, gu: DiGraph) -> np.ndarray:
+    """Record as kind each pair that gu, G union some H, brings closer than
+    G, and return G's all-pairs distances. G is a subgraph of gu, so no
+    distance grows: a changed distance is a shortened one."""
+    dist = dist_all_pairs(g)
+    dist_union = dist_all_pairs(gu)
     rec.add_where(
-        "distance-changed",
-        dist_union != dist,
+        kind,
+        dist_union < dist,
         lambda u, v: ((u, v), float(dist[u, v]), float(dist_union[u, v])),
     )
-    return rec.report(measured_hopbound=_hop_radius(g, hopset))
+    return dist
 
 
-def _hop_radius(
-    g: DiGraph, extra: Optional[WeightedEdgeSet], gu: Optional[DiGraph] = None
-) -> int:
+def _hop_radius(g: DiGraph, extra: WeightedEdgeSet, gu: Optional[DiGraph] = None) -> int:
     """Max hop count needed to connect any reachable pair u != v in
     G union extra (0 when no vertex reaches another), found by
     _farthest_pair from packed closure rows and open-source searches."""
@@ -191,7 +193,7 @@ def _hop_radius(
 
 def _farthest_pair(
     g: DiGraph,
-    extra: Optional[WeightedEdgeSet],
+    extra: WeightedEdgeSet,
     gu: Optional[DiGraph] = None,
     inside: Optional[bool] = None,
 ) -> tuple[int, Optional[tuple[int, int]]]:
@@ -222,7 +224,7 @@ def _farthest_pair(
     if n == 0:
         return 0, None
     if inside is None:
-        inside = extra is None or bool(pairs_reachable(g, extra.tails, extra.heads).all())
+        inside = bool(pairs_reachable(g, extra.tails, extra.heads).all())
     unit = None if inside else _unit_union(g, extra, gu)
     labels, rows = condensation_closure(g if inside else unit)
     reached = _POPCOUNT[rows].sum(axis=1, dtype=np.int64)[labels] - 1  # minus itself
@@ -246,7 +248,7 @@ def _farthest_pair(
     return radius, pair
 
 
-def _unit_union(g: DiGraph, extra: Optional[WeightedEdgeSet], gu: Optional[DiGraph]) -> DiGraph:
+def _unit_union(g: DiGraph, extra: WeightedEdgeSet, gu: Optional[DiGraph]) -> DiGraph:
     """G union extra with every length 1; gu is g.with_extra(extra) or None."""
     if gu is None:
         gu = g.with_extra(extra)
@@ -255,9 +257,7 @@ def _unit_union(g: DiGraph, extra: Optional[WeightedEdgeSet], gu: Optional[DiGra
     return DiGraph(gu.vertex_count, gu.tails, gu.heads, np.ones(gu.edge_count, dtype=np.int64), 1)
 
 
-def _simple_out_degrees(
-    g: DiGraph, extra: Optional[WeightedEdgeSet]
-) -> tuple[np.ndarray, Optional[int]]:
+def _simple_out_degrees(g: DiGraph, extra: WeightedEdgeSet) -> tuple[np.ndarray, Optional[int]]:
     """The out-degree of each vertex in the simple G union extra (self-loops
     dropped, parallel edges counted once) and its smallest pair key
     tail * n + head (None without edges), in linear passes.
@@ -271,7 +271,6 @@ def _simple_out_degrees(
     csr = g._csr
     g_tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
     g_keys = g_tails * n + csr.indices
-    extra = WeightedEdgeSet.empty() if extra is None else extra
     keys = extra.tails * n + extra.heads
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])

@@ -70,6 +70,15 @@ class TestGenerators:
         with pytest.raises(ValueError):
             GeneratorSpec("torus", n=4)
 
+    def test_scc_chain_rejects_an_n_other_than_its_blocks(self):
+        with pytest.raises(ValueError, match="blocks"):
+            GeneratorSpec("scc-chain", n=100, blocks=3, block_size=3)
+
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_scc_chain_n_unset_or_matching(self, n):
+        g = generate(GeneratorSpec("scc-chain", n=n, blocks=3, block_size=3))
+        assert g.vertex_count == 9
+
 
 class TestFileIo:
     def test_graph_round_trip(self, tmp_path):
@@ -159,6 +168,22 @@ class TestCliGen:
     def test_invalid_parameters_exit_two(self, tmp_path):
         assert main(["gen", "--family", "path", "--n", "0",
                      "--out", str(tmp_path / "x.txt")]) == 2
+
+    def test_scc_chain_n_mismatch_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        assert main(["gen", "--family", "scc-chain", "--n", "100", "--blocks", "3",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+class TestCliDagReduce:
+    def test_empty_graph_runs_no_iteration(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 0 1\n")
+        assert main(["dag-reduce", str(graph), "--lambda", "4", "--h", "4",
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().out.startswith("iterations=0 hopset=0 ")
 
 
 class TestCliLdd:

@@ -176,6 +176,21 @@ class TestReduceClusteredDag:
             acc = WeightedEdgeSet.union(acc, out)
         assert [r.stripped_edge_count for r in trace.iterations] == [30, 96, 179, 423]
 
+    def test_empty_graph_calls_no_oracle(self):
+        """The empty graph has no component, so the group count never
+        reaches 1: the loop ends only at its vertex-count return."""
+
+        class RefusingOracle:
+            def build(self, call, rng):
+                raise AssertionError("the oracle was called")
+
+        g = DiGraph.from_edges(0, [])
+        hopset, trace = reduce_clustered_dag(
+            g, scc_topological(g), RefusingOracle(), 2, 4, Fraction(1, 2), SEED
+        )
+        assert hopset == WeightedEdgeSet.empty()
+        assert trace.iterations == []
+
     def test_rejects_lambda_one(self):
         g = unit_path(3)
         with pytest.raises(ValueError, match="lambda"):

@@ -208,7 +208,7 @@ class TestDiGraph:
         # build everything a graph keeps: both CSR matrices, the closure and
         # the LDD's adjacency
         low_diameter_decomposition(g, 8, np.random.SeedSequence(0))
-        hop_limited_dist(g, None, 2)
+        hop_limited_dist(g, 2)
         pairs_reachable(g, np.array([0]), np.array([3]))
         assert {"_csr", "_csr_rev", "_kept"} <= set(vars(g))
         kept = list(kept_arrays(vars(g)))
@@ -402,32 +402,32 @@ class TestDistances:
     @given(random_graphs())
     @settings(max_examples=60, deadline=None)
     def test_hop_limit_monotone_in_h(self, g):
-        d2 = hop_limited_dist(g, None, 2)
-        d5 = hop_limited_dist(g, None, 5)
+        d2 = hop_limited_dist(g, 2)
+        d5 = hop_limited_dist(g, 5)
         assert np.all(d5 <= d2)
 
     @given(random_graphs())
     @settings(max_examples=60, deadline=None)
     def test_full_hop_budget_matches_dijkstra(self, g):
         # two independent implementations must agree entrywise
-        full = hop_limited_dist(g, None, max(g.vertex_count - 1, 1))
+        full = hop_limited_dist(g, max(g.vertex_count - 1, 1))
         assert np.array_equal(full, dist_all_pairs(g))
 
     def test_hop_zero_is_identity(self):
         g = unit_path(4)
-        d0 = hop_limited_dist(g, None, 0)
+        d0 = hop_limited_dist(g, 0)
         assert np.all(np.isinf(d0[~np.eye(4, dtype=bool)]))
         assert np.all(np.diag(d0) == 0)
 
     def test_extra_edges_shorten_hops_not_distance(self):
         g = unit_path(6)
-        extra = WeightedEdgeSet.from_triples([(0, 5, 5)])
-        assert hop_limited_dist(g, extra, 1)[0, 5] == 5
-        assert dist_all_pairs(g, extra)[0, 5] == 5
+        gu = g.with_extra(WeightedEdgeSet.from_triples([(0, 5, 5)]))
+        assert hop_limited_dist(gu, 1)[0, 5] == 5
+        assert dist_all_pairs(gu)[0, 5] == 5
 
     def test_sources_subset(self):
         g = unit_path(4)
-        d = hop_limited_dist(g, None, 3, sources=[1])
+        d = hop_limited_dist(g, 3, sources=[1])
         assert d.shape == (1, 4)
         assert d[0, 3] == 2
 
@@ -437,7 +437,7 @@ class TestDistances:
         # random_graphs gives self-loops, and vertices without in-edges
         # whenever m is small next to n
         n = g.vertex_count
-        extra = None
+        extra = WeightedEdgeSet.empty()
         if data.draw(st.booleans()):
             vertex = st.integers(0, n - 1)
             extra = WeightedEdgeSet.from_triples(data.draw(
@@ -446,7 +446,7 @@ class TestDistances:
         sources = None
         if data.draw(st.booleans()):
             sources = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
-        got = hop_limited_dist(g, extra, h, sources=sources)
+        got = hop_limited_dist(g.with_extra(extra), h, sources=sources)
         want = scatter_hop_limited_dist(g, extra, h, sources=sources)
         assert got.shape == want.shape
         assert np.array_equal(got, want)

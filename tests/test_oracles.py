@@ -54,7 +54,7 @@ def multigraphs(draw, max_n=12, max_m=40, max_len=6):
 def hub_reference(g, hubs, hops):
     """Hub edges read off the hub rows and columns of one all-sources
     hop-limited distance matrix, as {(tail, head): length}."""
-    dist = hop_limited_dist(g, None, hops)
+    dist = hop_limited_dist(g, hops)
     edges = {}
     for hub in hubs:
         for v in range(g.vertex_count):

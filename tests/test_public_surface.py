@@ -1,6 +1,8 @@
-"""The package's exported names, and the demo script that imports them."""
+"""The package's exported names, and the demo script and README quick start
+that import them."""
 
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -9,7 +11,9 @@ from pathlib import Path
 
 import shallowcut
 
-DEMO = Path(__file__).resolve().parent.parent / "scripts" / "demo_pipeline.py"
+ROOT = Path(__file__).resolve().parent.parent
+DEMO = ROOT / "scripts" / "demo_pipeline.py"
+README = ROOT / "README.md"
 
 
 def test_every_export_resolves_once():
@@ -36,3 +40,14 @@ def test_demo_pipeline_runs_from_any_directory(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.count("verified=True") == 2
+
+
+def test_readme_python_quick_start_runs(capsys):
+    """README's Python block runs as written: the shortcut passes its check
+    and the hopset needs no clamp."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme"})
+    shortcut_line, hopset_line = capsys.readouterr().out.splitlines()
+    assert shortcut_line.split()[1] == "True"
+    assert hopset_line.split()[1] == "0"

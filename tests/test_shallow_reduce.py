@@ -111,7 +111,7 @@ class TestBuildStars:
         )
         stars = build_stars([(0, 1), (2, 3)], 2)
         before = dist_all_pairs(g)
-        after = dist_all_pairs(g, stars)
+        after = dist_all_pairs(g.with_extra(stars))
         finite = np.isfinite(before)
         assert np.all(after[finite] >= before[finite])
 
@@ -170,7 +170,7 @@ class TestRunPhase:
         cfg = ReductionConfig(lam=8, h=8, ldd_repetitions=2, eps=Fraction(1, 2))
         out, _ = run_phase(g, 1, 0, cfg, ExactTransitiveOracle(48))
         before = dist_all_pairs(g)
-        after = dist_all_pairs(g, out)
+        after = dist_all_pairs(g.with_extra(out))
         assert np.all((after >= before) | ~np.isfinite(before))
 
 
@@ -323,7 +323,7 @@ class TestReduceHopset:
         cfg = ReductionConfig(lam=8, h=8, eps=Fraction(1, 2), ldd_repetitions=2)
         report = reduce_hopset(g, cfg, ExactTransitiveOracle(n))
         assert report.clamp_count == 0
-        assert np.array_equal(dist_all_pairs(g, report.hopset), dist_all_pairs(g))
+        assert np.array_equal(dist_all_pairs(g.with_extra(report.hopset)), dist_all_pairs(g))
 
     def test_epoch_hop_metric_never_increases(self):
         # few hubs, so the unit path needs several epochs to reach h hops
@@ -356,7 +356,7 @@ class TestReduceHopset:
         assert report.epoch_hopbounds == []
         assert len(report.epochs) == report.epoch_count
         assert report.clamp_count == 0
-        assert np.array_equal(dist_all_pairs(g, report.hopset), dist_all_pairs(g))
+        assert np.array_equal(dist_all_pairs(g.with_extra(report.hopset)), dist_all_pairs(g))
 
     def test_determinism(self):
         g = unit_path(48)
@@ -427,9 +427,10 @@ class TestMeasure:
         for g, hopset in measure_cases():
             dist = dist_all_pairs(g)
             finite = np.isfinite(dist)
-            hops = shallow_reduce._measure(g.with_extra(hopset), int(dist[finite].max()))
+            gu = g.with_extra(hopset)
+            hops = shallow_reduce._measure(gu, int(dist[finite].max()))
             for k in range(g.vertex_count + 1):
-                exact = np.array_equal(hop_limited_dist(g, hopset, k)[finite], dist[finite])
+                exact = np.array_equal(hop_limited_dist(gu, k)[finite], dist[finite])
                 assert (hops <= k) == exact, (g.vertex_count, k, hops)
 
     def test_refuses_distances_past_the_exact_float_range(self):
@@ -564,6 +565,21 @@ class TestReduceShortcut:
         report = reduce_shortcut(g, cfg, ExactReachabilityOracle(128))
         assert verify_shortcut(g, report.shortcut, 8).passed
         assert report.clamp_count == 0
+
+    def test_stop_rule_matches_an_all_pairs_reference(self):
+        """The stop rule and verify_shortcut share _farthest_pair, so a fault
+        there would go unseen by the verifier: the last hop radius is judged
+        by the all-pairs formula instead, the largest finite unit-length
+        distance of G union H."""
+        g = generate(GeneratorSpec("cycle", n=96))
+        cfg = ReductionConfig(lam=4, h=8, ldd_repetitions=2)
+        report = reduce_shortcut(g, cfg, ExactReachabilityOracle(96))
+        bounds = report.epoch_hopbounds
+        hops = dist_all_pairs(g.with_extra(report.shortcut.with_unit_lengths()))
+        np.fill_diagonal(hops, np.inf)
+        assert bounds[-1] == int(hops[np.isfinite(hops)].max())
+        assert bounds[-1] <= cfg.h
+        assert len(bounds) > 1 and all(a >= b for a, b in zip(bounds, bounds[1:]))
 
     def test_single_edge_dag(self):
         g = DiGraph.from_edges(2, [(0, 1, 1)])
@@ -703,7 +719,7 @@ class TestPinnedHopsets:
         g = generate(GeneratorSpec("random-gnm", n=48, m=144, big_n=8, seed=0))
         cfg = ReductionConfig(lam=8, h=8, eps=Fraction(1, 2), ldd_repetitions=2, seed=seed)
         report = reduce_hopset(g, cfg, ExactTransitiveOracle(48))
-        assert np.array_equal(dist_all_pairs(g, report.hopset), dist_all_pairs(g))
+        assert np.array_equal(dist_all_pairs(g.with_extra(report.hopset)), dist_all_pairs(g))
         assert report.clamp_count == 0
         assert verify_hopset(g, report.hopset, 1, cfg.h).passed
         text = json.dumps(report.to_json(), sort_keys=True).encode()

@@ -12,6 +12,7 @@ from shallowcut import (
     DiGraph,
     EdgeSet,
     ExactTransitiveOracle,
+    HubSamplingOracle,
     LddResult,
     OracleCall,
     SizeCeilingError,
@@ -26,6 +27,9 @@ from shallowcut import (
 )
 from shallowcut import graphs
 from shallowcut.graphs import dist_all_pairs, dist_from_sources
+
+
+EMPTY = WeightedEdgeSet.empty()
 
 
 def unit_path(n):
@@ -52,7 +56,8 @@ def reference_hop_radius(g, extra):
 @st.composite
 def graphs_with_extra(draw, max_n=16, max_m=40):
     """Weighted graphs with self-loops, parallel edges and (unless drawn
-    forward-only) multi-vertex SCCs, plus a weighted extra edge set or None."""
+    forward-only) multi-vertex SCCs, plus a weighted extra edge set, possibly
+    empty."""
     n = draw(st.integers(0, max_n))
     forward_only = draw(st.booleans())
 
@@ -66,20 +71,17 @@ def graphs_with_extra(draw, max_n=16, max_m=40):
         return out
 
     if n == 0:
-        return DiGraph.from_edges(0, [], max_length_bound=5), None
+        return DiGraph.from_edges(0, [], max_length_bound=5), WeightedEdgeSet.empty()
     base = edges(draw(st.integers(0, max_m)))
     base += base[: draw(st.integers(0, len(base)))]
     g = DiGraph.from_edges(n, base, max_length_bound=5)
-    extra = edges(draw(st.integers(0, max_m)))
-    if not extra and draw(st.booleans()):
-        return g, None
-    return g, WeightedEdgeSet.from_triples(extra)
+    return g, WeightedEdgeSet.from_triples(edges(draw(st.integers(0, max_m))))
 
 
 class TestHopRadius:
     @given(graphs_with_extra(), st.sampled_from([1, 5, 1 << 20]))
-    @example((DiGraph.from_edges(1, []), None), 1 << 20)
-    @example((DiGraph.from_edges(1, [(0, 0, 1), (0, 0, 1)]), None), 1 << 20)
+    @example((DiGraph.from_edges(1, []), EMPTY), 1 << 20)
+    @example((DiGraph.from_edges(1, [(0, 0, 1), (0, 0, 1)]), EMPTY), 1 << 20)
     @example((unit_cycle(5), WeightedEdgeSet.from_triples([(0, 2, 3)])), 5)
     # the extra edge joins a pair that G leaves unreachable: G's closure is wrong
     @example((unit_path(5), WeightedEdgeSet.from_triples([(4, 0, 1)])), 1 << 20)
@@ -90,8 +92,8 @@ class TestHopRadius:
             assert verify._hop_radius(g, extra) == reference_hop_radius(g, extra)
 
     @given(graphs_with_extra(), st.sampled_from([1, 5, 1 << 20]))
-    @example((unit_path(5), None), 1 << 20)
-    @example((DiGraph.from_edges(3, [(2, 2, 1), (2, 0, 1), (1, 0, 4)]), None), 1 << 20)
+    @example((unit_path(5), EMPTY), 1 << 20)
+    @example((DiGraph.from_edges(3, [(2, 2, 1), (2, 0, 1), (1, 0, 4)]), EMPTY), 1 << 20)
     # out-degree cases: an extra row that duplicates an edge of g, an extra
     # self-loop, two extra rows of one pair, and at radius 1 a g edge with
     # a smaller head than any extra edge of its tail
@@ -127,7 +129,7 @@ class TestHopRadius:
         monkeypatch.setattr(verify, "_CELLS", 36)
         monkeypatch.setattr(verify, "dist_from_sources", recording)
         g = unit_path(12)
-        assert verify._hop_radius(g, None) == 11
+        assert verify._hop_radius(g, WeightedEdgeSet.empty()) == 11
         # sources 0..9 reach a vertex that is not an out-neighbour
         assert chunks == [3, 3, 3, 1]
 
@@ -256,6 +258,31 @@ class TestVerifyDistancePreservation:
             g, WeightedEdgeSet.from_triples([(0, 3, 2)])
         )
         assert not report.passed
+
+
+class TestUnionBuiltOnce:
+    @pytest.mark.parametrize("check", [
+        lambda g, hopset: verify_hopset(g, hopset, 1, 16),
+        lambda g, hopset: verify_distance_preservation(g, hopset),
+    ], ids=["verify_hopset", "verify_distance_preservation"])
+    def test_each_hopset_verifier_builds_g_union_h_once(self, monkeypatch, check):
+        """The all-pairs pass, the h-hop pass and the hop radius all read the
+        one union graph the verifier builds."""
+        g = unit_path(64)
+        call = OracleCall(Fraction(1), g, 16, 4)
+        hopset = HubSamplingOracle(64, 0.25).build(call, np.random.default_rng(0))
+        built = []
+        with_extra = DiGraph.with_extra
+
+        def counting(self, extra):
+            gu = with_extra(self, extra)
+            if gu is not self:
+                built.append(len(extra))
+            return gu
+
+        monkeypatch.setattr(DiGraph, "with_extra", counting)
+        assert check(g, hopset).passed
+        assert built == [len(hopset)] and len(hopset) > 0
 
 
 class TestVerifyShortcut:
