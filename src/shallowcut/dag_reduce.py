@@ -9,7 +9,8 @@ topological order, so each round multiplies the per-group hopbound budget
 by at most lambda while the group count shrinks geometrically. Groups are
 one label vector: each vertex's group index, so a merge is an integer
 division by lambda and the stripped graph is one edge mask. Each oracle
-call draws from its own stream, derived from the caller's.
+call draws from its own child of the caller's stream, numbered as
+SeedSequence.spawn and the LDD number them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .graphs import DiGraph, Record, WeightedEdgeSet
+from .ldd import _Seed
 from .oracles import OracleCall, ShallowOracle, checked_call
 
 _INT = np.int64
@@ -86,11 +88,12 @@ def reduce_clustered_dag(
     are components_topo in topological order, until a single group remains.
 
     Returns the union of all oracle outputs together with the per-iteration
-    trace. Call i draws from seed_seq's stream extended by spawn key (i,),
-    with seed_seq's entropy and pool size. With the exact reference oracle
-    the result is an (alpha, h)-hopset for alpha = (1 + eps)^iterations
-    when every component has strong diameter at most lambda * h. The bound
-    of 2 log_lambda(n) iterations needs lambda >= 9.
+    trace. Call i draws from seed_seq's child with spawn key (k + i,) for k
+    children already spawned, with seed_seq's entropy and pool size. With
+    the exact reference oracle the result is an (alpha, h)-hopset for
+    alpha = (1 + eps)^iterations when every component has strong diameter
+    at most lambda * h. The bound of 2 log_lambda(n) iterations needs
+    lambda >= 9.
     """
     if lam < 2:
         raise ValueError("lambda must be at least 2")
@@ -101,6 +104,7 @@ def reduce_clustered_dag(
     trace = DagReduceTrace()
     acc = WeightedEdgeSet.empty()
     alpha0 = Fraction(1)
+    seeds = _Seed.of(seed_seq)
     i = 0
     if g.vertex_count == 0:
         return WeightedEdgeSet.empty(), trace
@@ -109,12 +113,7 @@ def reduce_clustered_dag(
         current = g.with_extra(acc)
         stripped = current.edge_subset(group[current.tails] == group[current.heads])
         call = OracleCall(alpha0, stripped, lam * h, h)
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=seed_seq.entropy,
-            spawn_key=tuple(seed_seq.spawn_key) + (i,),
-            pool_size=seed_seq.pool_size,
-        ))
-        hopset = checked_call(oracle, call, rng)
+        hopset = checked_call(oracle, call, np.random.default_rng(seeds.child(i).sequence()))
         acc = WeightedEdgeSet.union(acc, hopset)
         trace.iterations.append(
             DagIterationRecord(i, alpha0, group_count, stripped.edge_count, len(hopset))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -10,8 +10,6 @@ import numpy as np
 from .graphs import DiGraph
 
 _INT = np.int64
-
-FAMILIES = ("path", "cycle", "dag-layers", "random-gnm", "scc-chain", "disjoint-paths")
 
 
 @dataclass(frozen=True)
@@ -21,7 +19,8 @@ class GeneratorSpec:
     n is the vertex count, m the edge target (random-gnm only), big_n the
     maximum edge length. Family extras: layers (dag-layers), blocks and
     block_size (scc-chain, where n is 0 or blocks * block_size), paths
-    (disjoint-paths).
+    (disjoint-paths). A field the family does not read must keep its
+    default.
     """
 
     family: str
@@ -37,6 +36,11 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
+        reads = _FAMILIES[self.family][1] + ("family", "n", "seed")
+        unread = [f.name for f in fields(self)
+                  if f.name not in reads and getattr(self, f.name) != f.default]
+        if unread:
+            raise ValueError(f"{self.family} does not read {', '.join(unread)}")
         if self.big_n < 1:
             raise ValueError("big_n must be at least 1")
         if self.family == "scc-chain" and self.n not in (0, self.blocks * self.block_size):
@@ -44,15 +48,7 @@ class GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec) -> DiGraph:
-    builder = {
-        "path": _path,
-        "cycle": _cycle,
-        "dag-layers": _dag_layers,
-        "random-gnm": _random_gnm,
-        "scc-chain": _scc_chain,
-        "disjoint-paths": _disjoint_paths,
-    }[spec.family]
-    return builder(spec)
+    return _FAMILIES[spec.family][0](spec)
 
 
 def _lengths(spec: GeneratorSpec, count: int, rng: Optional[np.random.Generator]) -> np.ndarray:
@@ -141,3 +137,15 @@ def _disjoint_paths(spec: GeneratorSpec) -> DiGraph:
         tails.append(v)
     t = np.concatenate(tails) if tails else np.empty(0, dtype=_INT)
     return DiGraph(spec.n, t, t + 1, _lengths(spec, len(t), rng), spec.big_n)
+
+
+# each family's builder and the fields it reads besides family, n and seed
+_FAMILIES = {
+    "path": (_path, ("big_n",)),
+    "cycle": (_cycle, ("big_n",)),
+    "dag-layers": (_dag_layers, ("big_n", "layers")),
+    "random-gnm": (_random_gnm, ("m", "big_n")),
+    "scc-chain": (_scc_chain, ("big_n", "blocks", "block_size")),
+    "disjoint-paths": (_disjoint_paths, ("big_n", "paths")),
+}
+FAMILIES = tuple(_FAMILIES)

@@ -5,10 +5,10 @@ Distances are kept as float64 matrices with ``numpy.inf`` as the
 unreachable sentinel. A finite entry is an exact integer while it stays
 below 2**53; nothing here enforces that, since a DiGraph takes any int64
 length up to its N. shallow_reduce._measure packs lengths and hops into one
-weight and needs the tighter n * (longest distance + 1) <= 2**53, which it
-checks. Hopsets and shortcuts share one canonical edge-row format (sorted,
-unique, read-only int64 columns that compare by value), whose one home is
-_EdgeRows. The records of a run (verification, clustered-DAG, phase and
+weight, length * n + hops, and counts no hops once a packed distance
+reaches 2**53. Hopsets and shortcuts share one canonical edge-row format
+(sorted, unique, read-only int64 columns that compare by value), whose one
+home is _EdgeRows. The records of a run (verification, clustered-DAG, phase and
 reduction reports) share one JSON form, whose one home is Record.to_json.
 The distance primitives read only the graph they are given: G union H is
 one graph, built by DiGraph.with_extra, and every call on it shares its CSR.

@@ -55,7 +55,7 @@ from .graphs import (
 )
 from .ldd import LddResult, low_diameter_decomposition
 from .oracles import ShallowOracle, ShortcutOracleAdapter
-from .verify import SizeCeilingError, VerificationReport, _hop_radius
+from .verify import VerificationReport, _hop_radius
 
 _INT = np.int64
 # every integer up to this is exact in float64
@@ -204,7 +204,7 @@ class ReductionReport(Record):
     repetitions: int
     # per epoch run: the fewest hops within which every reachable pair has a
     # shortest path in G union H; the last is at most h unless all epochs
-    # ran. Empty when distances are too long to count hops exactly.
+    # ran. An epoch whose count _measure cannot take exactly records no entry.
     epoch_hopbounds: list[int]
     shortcut: Optional[EdgeSet] = field(default=None, metadata={"json": False})
     verification: Optional[VerificationReport] = None
@@ -362,20 +362,15 @@ def _run_epochs(
     leaves no edge shorter than the true distance, so that entry is at most
     h exactly when the h-hop stretch is 1, and an edge added later could
     not undo that: it is the certificate of stretch 1, and no stretch is
-    measured here.
-    When n * (longest distance + 1) passes 2^53, _measure cannot count hops
-    exactly, so no entry is recorded and every epoch runs.
+    measured here. An epoch where _measure cannot count hops exactly (a
+    packed distance reaches 2^53) records no entry; dist0 serves the clamp.
     """
     n = g.vertex_count
     lp = cfg.lambda_prime(n)
     epochs = cfg.epoch_count(n)
     phases = cfg.phase_count(g.max_length_bound)
     reps = cfg.repetitions(n)
-    dist0 = dist_all_pairs(g) if not shortcut and n > 0 else None
-    # g's longest distance; _measure is exact only while n * (reach + 1)
-    # is within 2^53, and past that no stop check runs
-    reach = int(dist0[np.isfinite(dist0)].max()) if dist0 is not None else 0
-    check = shortcut or n * (reach + 1) <= _FLOAT_EXACT
+    dist0 = None if shortcut else dist_all_pairs(g)
 
     cur = WeightedEdgeSet.empty()
     g_cur = g
@@ -405,11 +400,10 @@ def _run_epochs(
         traces.append(phase_traces)
         cur = WeightedEdgeSet.union(cur, *phase_outputs).min_per_pair()
         g_cur = g.with_extra(cur)
-        if check:
-            epoch_hopbounds.append(
-                _hop_metric(g, cur, g_cur) if shortcut else _measure(g_cur, reach)
-            )
-            if epoch_hopbounds[-1] <= cfg.h:
+        hops = _hop_metric(g, cur, g_cur) if shortcut else _measure(g_cur)
+        if hops is not None:
+            epoch_hopbounds.append(hops)
+            if hops <= cfg.h:
                 break
 
     phase_list = [tr for epoch in traces for tr in epoch]
@@ -433,10 +427,10 @@ def _hop_metric(g: DiGraph, cur: WeightedEdgeSet, g_cur: DiGraph) -> int:
     return _hop_radius(g, cur, g_cur)
 
 
-def _measure(gu: DiGraph, reach: int) -> int:
+def _measure(gu: DiGraph) -> Optional[int]:
     """The fewest hops within which every reachable pair of gu has a
-    shortest path (0 when no vertex reaches another); reach is at least
-    gu's longest finite distance.
+    shortest path (0 when no vertex reaches another), or None when float64
+    cannot count them exactly.
 
     One Dijkstra on the weights length * n + 1, over gu's simple CSR
     (self-loops dropped, the lightest edge kept per pair): a path's weight
@@ -444,18 +438,12 @@ def _measure(gu: DiGraph, reach: int) -> int:
     fewest hops is simple, so under n hops. The distance d from u to v is
     thus dist(u, v) * n plus those fewest hops, which are d mod n. The
     searches run from chunks of _CELLS // n sources, so at most about
-    _CELLS distances are held at once. Every d is at most n * (reach + 1) - 1, and float64 holds it
-    exactly while that stays within 2^53; past that this raises
-    SizeCeilingError. Weights and sums past 2^53 may round, but only on
-    paths heavier than a shortest one, and rounding keeps them at least
-    2^53, so none looks shorter.
+    _CELLS distances are held at once. A path weight below 2^53 is summed
+    exactly, and one at or past 2^53 rounds to at least 2^53, so while a
+    chunk's largest finite d stays below 2^53 every d of it is exact; at
+    the first chunk where it does not, this returns None.
     """
     n = gu.vertex_count
-    if n * (reach + 1) > _FLOAT_EXACT:
-        raise SizeCeilingError(
-            f"hop count of {n} vertices at distances up to {reach} needs "
-            "n * (longest distance + 1) <= 2^53, the exact range of float64"
-        )
     csr = gu._csr
     if csr.nnz == 0:
         return 0
@@ -465,5 +453,7 @@ def _measure(gu: DiGraph, reach: int) -> int:
     for start in range(0, n, chunk):
         d = dijkstra(weighted, directed=True, indices=np.arange(start, min(start + chunk, n)))
         d[np.isinf(d)] = 0  # unreached: no hops to count
+        if d.max() >= _FLOAT_EXACT:
+            return None
         hops = max(hops, int(np.remainder(d, n, out=d).max()))
     return hops

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,25 @@ class TestGenerators:
         g = generate(GeneratorSpec("scc-chain", n=n, blocks=3, block_size=3))
         assert g.vertex_count == 9
 
+    @pytest.mark.parametrize("family, field", [
+        ("path", "m"), ("cycle", "paths"), ("dag-layers", "blocks"),
+        ("random-gnm", "layers"), ("scc-chain", "m"), ("disjoint-paths", "block_size"),
+    ])
+    def test_rejects_a_field_its_family_does_not_read(self, family, field):
+        with pytest.raises(ValueError, match=f"^{family} does not read {field}$"):
+            GeneratorSpec(family, n=12, **{field: 5})
+
+    @pytest.mark.parametrize("spec, message", [
+        (GeneratorSpec("cycle", n=1), "cycle needs n >= 2"),
+        (GeneratorSpec("dag-layers", n=3), "dag-layers needs layers >= 2 and n >= layers"),
+        (GeneratorSpec("random-gnm", n=1), "random-gnm needs n >= 2 and m >= 0"),
+        (GeneratorSpec("scc-chain"), "scc-chain needs blocks >= 1 and block_size >= 2"),
+        (GeneratorSpec("disjoint-paths", n=1), "disjoint-paths needs paths >= 1 and n >= paths"),
+    ], ids=["cycle", "dag-layers", "random-gnm", "scc-chain", "disjoint-paths"])
+    def test_builder_rejects_too_few_vertices_or_blocks(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate(spec)
+
 
 class TestFileIo:
     def test_graph_round_trip(self, tmp_path):
@@ -136,6 +156,19 @@ class TestFileIo:
         with pytest.raises(FormatError):
             read_graph(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty graph file"),
+        ("-1 0 1\n", "invalid header values"),
+        ("3 0 0\n", "invalid header values"),
+        ("2 1 1\n0 2 1\n", "vertex id out of range"),
+        ("2 1 4\n0 1 5\n", r"edge length outside \[1, N\]"),
+    ], ids=["empty", "negative-n", "N-0", "vertex-out-of-range", "length-above-N"])
+    def test_graph_file_errors(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=message):
+            read_graph(path)
+
     @pytest.mark.parametrize("read, text, message", [
         (read_edge_set, "0 1\n\n1 2\n  \n", None),
         (read_weighted_edge_set, "\n0 1 4\n1 2 1\n", None),
@@ -174,6 +207,13 @@ class TestCliGen:
         assert main(["gen", "--family", "scc-chain", "--n", "100", "--blocks", "3",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_flags_the_family_does_not_read_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        assert main(["gen", "--family", "path", "--n", "10", "--m", "50", "--blocks", "4",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: path does not read m, blocks\n"
         assert not out.exists()
 
 
@@ -441,6 +481,14 @@ class TestCliBadValues:
             argv += ["--out-dir", str(tmp_path / "run")]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_eps_that_is_not_a_number(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        main(["gen", "--family", "path", "--n", "8", "--out", str(graph)])
+        capsys.readouterr()
+        argv = [arg.format(unit=graph) for arg in REDUCE]
+        assert main(argv + ["--eps", "x", "--out-dir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == "error: not a rational number: 'x'\n"
 
     @pytest.mark.parametrize("argv", [
         ["verify", "g.txt", "--kind", "clustered", "--seed", "1"],

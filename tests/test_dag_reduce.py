@@ -272,3 +272,16 @@ class TestSeedStreams:
             )
             assert replay.bit_generator.state == state
             assert HubSamplingOracle(g.vertex_count, 0.25).build(call, replay) == out
+
+    def test_call_i_continues_the_callers_spawn_numbering(self):
+        # after the caller has spawned 2 children, call i draws the stream
+        # that SeedSequence.spawn would hand out next: spawn key (2 + i,)
+        g = generate(GeneratorSpec("random-gnm", n=40, m=120, big_n=4, seed=0))
+        oracle = GeneratorRecordingOracle(g.vertex_count, 0.25)
+        ss = np.random.SeedSequence(5)
+        ss.spawn(2)
+        reduce_clustered_dag(g, scc_topological(g), oracle, 3, 4, Fraction(1, 2), ss)
+        assert len(oracle.calls) >= 2
+        for i, (_, state, _) in enumerate(oracle.calls, start=1):
+            replay = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(2 + i,)))
+            assert replay.bit_generator.state == state

@@ -171,6 +171,15 @@ class TestDiGraph:
         with pytest.raises(ValueError):
             DiGraph.from_edges(2, [(0, 1, 5)], max_length_bound=4)
 
+    @pytest.mark.parametrize("n, tails, heads, message", [
+        (-1, [], [], "vertex_count must be nonnegative"),
+        (2, [0], [1, 0], "edge arrays must have equal length"),
+    ], ids=["negative-n", "ragged"])
+    def test_validation_rejects_bad_shapes(self, n, tails, heads, message):
+        t, h = np.array(tails, dtype=np.int64), np.array(heads, dtype=np.int64)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DiGraph(n, t, h, np.ones(len(tails), dtype=np.int64), 1)
+
     def test_parallel_edges_use_minimum(self):
         g = DiGraph.from_edges(2, [(0, 1, 5), (0, 1, 2)])
         assert dist_all_pairs(g)[0, 1] == 2
@@ -399,6 +408,10 @@ class TestDistances:
         assert d[0, 4] == 4
         assert d[1, 3] == 2
 
+    def test_hop_limit_below_zero(self):
+        with pytest.raises(ValueError, match="^h must be nonnegative$"):
+            hop_limited_dist(unit_path(3), -1)
+
     @given(random_graphs())
     @settings(max_examples=60, deadline=None)
     def test_hop_limit_monotone_in_h(self, g):
@@ -458,6 +471,10 @@ class TestDiameters:
         g = DiGraph.from_edges(3, [(0, 2, 1), (2, 1, 1), (1, 0, 1), (0, 1, 5)])
         assert weak_diameter(g, [0, 1]) == 2
         assert strong_diameter(g, [0, 1]) == 5
+
+    def test_strong_diameter_of_no_vertices(self):
+        with pytest.raises(ValueError, match="^vertex set must be nonempty$"):
+            strong_diameter(unit_path(3), [])
 
     @given(random_graphs(max_n=20, max_m=60), st.data())
     @settings(max_examples=40, deadline=None)

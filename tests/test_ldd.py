@@ -67,6 +67,17 @@ class TestBall:
         g = DiGraph.from_edges(2, [(0, 1, 3)])
         assert ball(g, 0, 2, "out") == {0}
 
+    @pytest.mark.parametrize("v, radius, direction, within, message", [
+        (0, -1, "out", None, "radius must be nonnegative"),
+        (0, 1, "both", None, "direction must be 'in' or 'out'"),
+        (4, 1, "out", None, "v must be a vertex of within"),
+        (-1, 1, "out", None, "v must be a vertex of within"),
+        (0, 1, "in", [1, 2], "v must be a vertex of within"),
+    ], ids=["radius", "direction", "v-past-n", "v-negative", "v-outside-within"])
+    def test_rejects_bad_arguments(self, v, radius, direction, within, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ball(unit_path(4), v, radius, direction, within=within)
+
     @given(
         st.integers(0, 9),
         st.integers(0, 6),
@@ -345,7 +356,8 @@ class TestSeedWords:
     """A node's seed is the words its SeedSequence mixes; the streams must
     be numpy's own for the same entropy, spawn key and pool size."""
 
-    ENTROPIES = [0, 7, 2**64 + 3, 0x9F3B_5C2E_71D4_0A86_E5B2_4C19_D873_6F20]
+    # the last is a list, whose ints numpy mixes word by word in turn
+    ENTROPIES = [0, 7, 2**64 + 3, 0x9F3B_5C2E_71D4_0A86_E5B2_4C19_D873_6F20, [7, 2**40]]
 
     @pytest.mark.parametrize("entropy", ENTROPIES)
     @pytest.mark.parametrize("key", [(), (3,), (1, 4, 2**33)])

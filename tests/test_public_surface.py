@@ -1,15 +1,17 @@
-"""The package's exported names, and the demo script and README quick start
-that import them."""
+"""The package's exported names, and the demo script and README quick starts
+that use them."""
 
 import os
 import re
 import runpy
+import shlex
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import shallowcut
+from shallowcut.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "scripts" / "demo_pipeline.py"
@@ -51,3 +53,15 @@ def test_readme_python_quick_start_runs(capsys):
     shortcut_line, hopset_line = capsys.readouterr().out.splitlines()
     assert shortcut_line.split()[1] == "True"
     assert hopset_line.split()[1] == "0"
+
+
+def test_readme_cli_quick_start_runs(tmp_path, monkeypatch, capsys):
+    """Each `shallowcut` line of README's shell blocks runs as written, in
+    order and in one directory, and exits 0."""
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(), re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("shallowcut ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line

@@ -19,7 +19,6 @@ from shallowcut import (
     GeneratorSpec,
     HubSamplingOracle,
     ReductionConfig,
-    SizeCeilingError,
     WeightedEdgeSet,
     build_stars,
     dist_all_pairs,
@@ -61,6 +60,15 @@ class TestScaledLength:
     def test_huge_factor_floors_at_one(self):
         assert scaled_length(5, 10, Fraction(3)) == 1
 
+    @pytest.mark.parametrize("length, j, message", [
+        (0, 1, "length must be positive"),
+        (np.array([3, 0]), 1, "length must be positive"),
+        (1, -1, "j must be nonnegative"),
+    ], ids=["zero", "zero-in-array", "negative-band"])
+    def test_rejects_bad_arguments(self, length, j, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scaled_length(length, j, Fraction(1, 2))
+
     @given(st.integers(1, 10**6), st.integers(0, 20), fractions)
     @settings(max_examples=200, deadline=None)
     def test_exact_ceiling(self, length, j, eps):
@@ -97,6 +105,10 @@ class TestPhaseSigma:
 class TestBuildStars:
     def test_singletons_only(self):
         assert len(build_stars([(0,), (1,)], 5)) == 0
+
+    def test_rejects_spokes_shorter_than_one(self):
+        with pytest.raises(ValueError, match="^star_length must be at least 1$"):
+            build_stars([(0, 1)], 0)
 
     def test_component_of_four(self):
         stars = build_stars([(3, 1, 7, 5)], 4)
@@ -346,9 +358,19 @@ class TestReduceHopset:
         assert len(report.epochs) == 1
         assert verify_hopset(g, report.hopset, 1, cfg.h).passed
 
+    def test_stop_check_runs_wherever_the_packed_distances_are_exact(self):
+        # 3 * (q + 1) is past 2^53, but the one reachable pair, at distance
+        # q and one hop, packs to 3 * q + 1 < 2^53: its hops are exact
+        q = (1 << 53) // 3
+        g = DiGraph.from_edges(3, [(0, 1, q)], max_length_bound=q)
+        cfg = ReductionConfig(lam=8, h=8, ldd_repetitions=1)
+        report = reduce_hopset(g, cfg, ExactTransitiveOracle(3))
+        assert report.epoch_hopbounds == [1]
+        assert len(report.epochs) == 1
+
     def test_distances_past_the_exact_range_run_every_epoch(self):
         # 16 * (15 * 2^47 + 1) is past 2^53: hops cannot be counted
-        # exactly, so no stop check runs and nothing raises
+        # exactly, so no epoch records an entry and nothing raises
         n = 16
         g = DiGraph.from_edges(n, [(i, i + 1, 1 << 47) for i in range(n - 1)])
         cfg = ReductionConfig(lam=8, h=8, ldd_repetitions=1)
@@ -428,18 +450,23 @@ class TestMeasure:
             dist = dist_all_pairs(g)
             finite = np.isfinite(dist)
             gu = g.with_extra(hopset)
-            hops = shallow_reduce._measure(gu, int(dist[finite].max()))
+            hops = shallow_reduce._measure(gu)
             for k in range(g.vertex_count + 1):
                 exact = np.array_equal(hop_limited_dist(gu, k)[finite], dist[finite])
                 assert (hops <= k) == exact, (g.vertex_count, k, hops)
 
-    def test_refuses_distances_past_the_exact_float_range(self):
+    def test_returns_none_past_the_exact_float_range(self):
         # 16 * (15 * 2^50) is past 2^53: the distances length * n + hops
         # would round
         g = DiGraph.from_edges(16, [(i, i + 1, (1 << 50) - i) for i in range(15)])
-        reach = int(dist_all_pairs(g)[0, 15])
-        with pytest.raises(SizeCeilingError, match=r"2\^53"):
-            shallow_reduce._measure(g, reach)
+        assert shallow_reduce._measure(g) is None
+
+    @pytest.mark.parametrize("length, hops", [((1 << 52) - 1, 1), (1 << 52, None)])
+    def test_exact_range_ends_at_two_to_the_53(self, length, hops):
+        # one edge of length L on 2 vertices packs to 2L + 1, below 2^53
+        # exactly when L < 2^52
+        g = DiGraph.from_edges(2, [(0, 1, length)], max_length_bound=length)
+        assert shallow_reduce._measure(g) == hops
 
     def test_edges_off_every_shortest_path_may_be_long(self):
         # a self-loop, a parallel edge heavier than its twin and a shortcut
@@ -447,7 +474,7 @@ class TestMeasure:
         # lengths may pass the exact range
         edges = [(i, i + 1, 1) for i in range(15)]
         edges += [(3, 3, 1 << 60), (0, 1, 1 << 60), (0, 15, 1 << 60)]
-        assert shallow_reduce._measure(DiGraph.from_edges(16, edges), 15) == 15
+        assert shallow_reduce._measure(DiGraph.from_edges(16, edges)) == 15
 
 
 class NoEdgesOracle(ExactTransitiveOracle):
@@ -606,7 +633,8 @@ class TestReduceShortcut:
         # Reachability has one length scale and no stretch to trade against
         # hops, so neither eps nor the graph's length bound may reach the
         # shortcut or its report.
-        g = generate(GeneratorSpec(family, n=96, paths=4))
+        extra = {"paths": 4} if family == "disjoint-paths" else {}
+        g = generate(GeneratorSpec(family, n=96, **extra))
         reports = [
             reduce_shortcut(
                 DiGraph(g.vertex_count, g.tails, g.heads, g.lengths, bound),
