@@ -5,7 +5,9 @@ Subcommands: gen, ldd, dag-reduce, reduce, verify. Exit codes:
 convention for bad flags is preserved). Usage errors include flag values
 the library rejects, a weighted graph where unit lengths are required,
 and asking `ldd` or `verify` to check a graph with more vertices than
-`--ceiling`. `reduce` constructs, then verifies what it built in either
+`--ceiling`, as well as a malformed input file and any file that cannot
+be read or written (an OSError): each prints one `error: ...` line.
+`reduce` constructs, then verifies what it built in either
 mode with the verifiers of `verify.py`; it skips that check on a graph
 above `--ceiling`, as it does under `--no-verify`.
 """
@@ -399,7 +401,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error("--decomposition is required for ldd verification")
     try:
         return args.func(args)
-    except (CliError, SizeCeilingError) as exc:
+    except (CliError, SizeCeilingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

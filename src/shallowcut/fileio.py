@@ -24,9 +24,13 @@ def _parse_ints(line: str, count: int, lineno: int) -> list[int]:
     if len(parts) != count:
         raise FormatError(f"line {lineno}: expected {count} fields, got {len(parts)}")
     try:
-        return [int(p) for p in parts]
+        values = [int(p) for p in parts]
     except ValueError as exc:
         raise FormatError(f"line {lineno}: non-integer field") from exc
+    # a number outside int64 has at least 19 digits: most lines skip the test
+    if len(line) > 18 and (min(values) < -(1 << 63) or max(values) >= 1 << 63):
+        raise FormatError(f"line {lineno}: field outside the int64 range")
+    return values
 
 
 def read_graph(path: str | Path) -> DiGraph:

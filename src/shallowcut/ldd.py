@@ -137,26 +137,25 @@ def _graph_adjacency(g: DiGraph, d: int) -> tuple[_Adjacency, _Adjacency]:
 
 def _ball(adj: _Adjacency, src: int, radius: int, piece: int) -> int:
     """Mask of the vertices of piece within distance radius of src,
-    travelling only inside piece. Dial's buckets: lengths are positive
-    integers, so bucket t is final once every lower bucket has been
-    expanded."""
+    travelling only inside piece. Dial's buckets, kept by distance in a
+    dict so that memory follows the distances queued, not the radius:
+    lengths are positive integers, so the smallest queued distance is final
+    once every smaller one has been expanded."""
     rest = piece ^ (1 << src)  # piece minus the vertices already settled
     pending = 0  # every vertex ever queued
-    buckets = None
+    buckets: dict[int, int] = {}
     for w, succ in adj[src]:
         if w > radius:
             break
         if succ & rest:
-            if buckets is None:
-                buckets = [0] * (radius + 1)
-            buckets[w] |= succ
+            buckets[w] = succ
             pending |= succ
-    # most balls end here, with no other vertex of the piece in reach
-    t = 1
-    # a bucket's unsettled vertices are settled when it is reached, so the
+    # most balls end here, with no other vertex of the piece in reach; a
+    # bucket's unsettled vertices are settled when it is reached, so the
     # search is over once nothing queued is unsettled
     while pending & rest:
-        layer = buckets[t] & rest
+        t = min(buckets)
+        layer = buckets.pop(t) & rest
         if layer:
             rest ^= layer
             for u in _members(layer) if layer & (layer - 1) else (layer.bit_length() - 1,):
@@ -164,9 +163,8 @@ def _ball(adj: _Adjacency, src: int, radius: int, piece: int) -> int:
                     tw = t + w
                     if tw > radius:
                         break
-                    buckets[tw] |= succ
+                    buckets[tw] = buckets.get(tw, 0) | succ
                     pending |= succ
-        t += 1
     return piece ^ rest
 
 

@@ -13,10 +13,11 @@ its true cells in numpy and builds Violations only for those it keeps.
 
 The hop radius of G union H reads each source's reach set from G's closure,
 kept on G, when every edge of H joins a pair reachable in G, which is then
-checked; a faulty H is judged on the closure of the union graph instead.
-Each source's out-degree comes from G's CSR and H's canonical rows in one
-linear pass, so the union graph's CSR is built only when some source needs
-a search.
+checked; a faulty H is judged on the closure of G union H as built, since
+a closure reads no lengths. Each source's out-degree comes from G's CSR
+and H's canonical rows in one linear pass, so the union's CSR is built
+only when some source needs a search, and that search counts hops on the
+CSR the distance checks read, ignoring its lengths.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Any, Optional
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .graphs import (
     _CELLS,
@@ -36,7 +37,6 @@ from .graphs import (
     WeightedEdgeSet,
     condensation_closure,
     dist_all_pairs,
-    dist_from_sources,
     hop_limited_dist,
     induced_subgraph,
     pairs_reachable,
@@ -200,33 +200,34 @@ def _farthest_pair(
     """The hop radius of G union extra and the first pair (u, v) in
     row-major order that is that many hops apart (None at radius 0). gu is
     g.with_extra(extra); a caller that holds it passes it, so that its CSR
-    is built once. inside says whether every extra edge joins a pair
-    reachable in G; a caller that has checked it passes it, so that it is
-    not checked again.
+    is built once, and otherwise it is built where it is first needed.
+    inside says whether every extra edge joins a pair reachable in G; a
+    caller that has checked it passes it, so that it is not checked again.
 
     A closure counts the vertices each source reaches, by popcount of its
     packed row. When every extra edge joins a pair reachable in G, as in a
     shortcut or a distance-preserving hopset, G union extra has G's strong
     components and reach sets, so the rows are read from
     condensation_closure(g), built once and kept on g. Otherwise (the
-    faulty input a verifier must judge) the unit-length union graph is
-    closed. The out-degrees of the simple union graph come from g's CSR,
+    faulty input a verifier must judge) gu is closed; a closure reads no
+    lengths. The out-degrees of the simple union graph come from g's CSR,
     kept on g, and extra's canonical rows (_simple_out_degrees). A source
-    with an edge to each vertex it reaches needs one hop, so unit-length
-    searches run only from the other sources, in chunks of at most _CELLS
-    distances: no n x n matrix is held. Only those searches, or the faulty
-    input's closure, build the union graph's CSR. A source that needs a
-    search reaches some vertex two or more hops away, so at a radius above
-    1 the pair comes from the searches; at radius 1 it is the smallest
-    (tail, head) edge of the simple union graph.
+    with an edge to each vertex it reaches needs one hop, so searches that
+    count hops on gu's CSR, ignoring its lengths, run only from the other
+    sources, in chunks of at most _CELLS distances: no n x n matrix is
+    held. Only those searches, or the faulty input's closure, build gu's
+    CSR. A source that needs a search reaches some vertex two or more hops
+    away, so at a radius above 1 the pair comes from the searches; at
+    radius 1 it is the smallest (tail, head) edge of the simple union graph.
     """
     n = g.vertex_count
     if n == 0:
         return 0, None
     if inside is None:
         inside = bool(pairs_reachable(g, extra.tails, extra.heads).all())
-    unit = None if inside else _unit_union(g, extra, gu)
-    labels, rows = condensation_closure(g if inside else unit)
+    if gu is None and not inside:
+        gu = g.with_extra(extra)
+    labels, rows = condensation_closure(g if inside else gu)
     reached = _POPCOUNT[rows].sum(axis=1, dtype=np.int64)[labels] - 1  # minus itself
     out_degree, smallest = _simple_out_degrees(g, extra)
     open_sources = np.flatnonzero(out_degree < reached)
@@ -234,27 +235,18 @@ def _farthest_pair(
         if not reached.any():
             return 0, None
         return 1, divmod(smallest, n)
-    if unit is None:
-        unit = _unit_union(g, extra, gu)
+    if gu is None:
+        gu = g.with_extra(extra)
     radius, pair = 1, None
     chunk = max(1, _CELLS // n)
     for i in range(0, len(open_sources), chunk):
         sources = open_sources[i : i + chunk]
-        hops = dist_from_sources(unit, sources)
+        hops = dijkstra(gu._csr, directed=True, indices=sources, unweighted=True)
         hops[~np.isfinite(hops)] = -1
         u, v = np.unravel_index(np.argmax(hops), hops.shape)
         if hops[u, v] > radius:
             radius, pair = int(hops[u, v]), (int(sources[u]), int(v))
     return radius, pair
-
-
-def _unit_union(g: DiGraph, extra: WeightedEdgeSet, gu: Optional[DiGraph]) -> DiGraph:
-    """G union extra with every length 1; gu is g.with_extra(extra) or None."""
-    if gu is None:
-        gu = g.with_extra(extra)
-    if gu.max_length_bound == 1:
-        return gu
-    return DiGraph(gu.vertex_count, gu.tails, gu.heads, np.ones(gu.edge_count, dtype=np.int64), 1)
 
 
 def _simple_out_degrees(g: DiGraph, extra: WeightedEdgeSet) -> tuple[np.ndarray, Optional[int]]:

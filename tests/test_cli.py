@@ -162,7 +162,12 @@ class TestFileIo:
         ("3 0 0\n", "invalid header values"),
         ("2 1 1\n0 2 1\n", "vertex id out of range"),
         ("2 1 4\n0 1 5\n", r"edge length outside \[1, N\]"),
-    ], ids=["empty", "negative-n", "N-0", "vertex-out-of-range", "length-above-N"])
+        ("2 1 4\n0 99999999999999999999 1\n", "line 2: field outside the int64 range"),
+        ("99999999999999999999 0 1\n", "line 1: field outside the int64 range"),
+        ("2 1 9223372036854775807\n0 1 -9223372036854775809\n",
+         "line 2: field outside the int64 range"),
+    ], ids=["empty", "negative-n", "N-0", "vertex-out-of-range", "length-above-N",
+            "head-above-int64", "n-above-int64", "length-below-int64"])
     def test_graph_file_errors(self, tmp_path, text, message):
         path = tmp_path / "bad.txt"
         path.write_text(text)
@@ -175,7 +180,11 @@ class TestFileIo:
         (read_edge_set, "0 1\n\n1 2 3\n", "line 3: expected 2 fields, got 3"),
         (read_weighted_edge_set, "0 1 1\n\n1 x 2\n", "line 3: non-integer field"),
         (read_weighted_edge_set, "0 1 1\n  \n\n1 2 0\n", "line 4: length 0 is below 1"),
-    ], ids=["pairs", "triples", "field-count", "non-integer", "length-0"])
+        (read_edge_set, "0 1\n9223372036854775808 2\n", "line 2: field outside the int64 range"),
+        (read_weighted_edge_set, "0 1 1\n\n1 2 99999999999999999999\n",
+         "line 3: field outside the int64 range"),
+    ], ids=["pairs", "triples", "field-count", "non-integer", "length-0", "pair-above-int64",
+            "length-above-int64"])
     def test_edge_set_lines(self, tmp_path, read, text, message):
         # blank lines are skipped but still counted in the line numbers
         path = tmp_path / "e.txt"
@@ -481,6 +490,29 @@ class TestCliBadValues:
             argv += ["--out-dir", str(tmp_path / "run")]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{huge}", "--kind", "clustered"],
+        ["verify", "{unit}", "--kind", "hopset", "--edges", "{huge_edges}"],
+        ["gen", "--family", "path", "--n", "4", "--out", "{missing}/x.txt"],
+        ["reduce", "{unit}", "--mode", "shortcut", "--lambda", "4", "--h", "4",
+         "--out-dir", "{unit}"],
+    ], ids=["graph-above-int64", "edges-above-int64", "gen-out-in-missing-dir",
+            "reduce-out-dir-is-a-file"])
+    def test_bad_files_exit_two(self, tmp_path, capsys, argv):
+        """A number outside int64 in an input file, and an output path that
+        cannot be written, are usage errors reported without a traceback."""
+        files = {name: tmp_path / f"{name}.txt" for name in ("unit", "huge", "huge_edges")}
+        main(["gen", "--family", "path", "--n", "8", "--out", str(files["unit"])])
+        files["huge"].write_text("2 1 1\n0 99999999999999999999 1\n")
+        files["huge_edges"].write_text("0 1 1\n0 99999999999999999999 1\n")
+        files["missing"] = tmp_path / "missing"
+        capsys.readouterr()
+        argv = [arg.format(**files) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not files["missing"].exists()
 
     def test_eps_that_is_not_a_number(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"

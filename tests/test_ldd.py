@@ -67,6 +67,14 @@ class TestBall:
         g = DiGraph.from_edges(2, [(0, 1, 3)])
         assert ball(g, 0, 2, "out") == {0}
 
+    def test_memory_follows_the_distances_not_the_radius(self):
+        # buckets kept per radius unit would need 10**13 of them, and stepping
+        # one distance at a time would take 10**12 steps between vertices
+        big = 10**12
+        g = DiGraph.from_edges(3, [(0, 1, big), (1, 2, big), (2, 0, big)])
+        assert ball(g, 0, 10 * big, "out") == ball(g, 0, 10 * big, "in") == {0, 1, 2}
+        assert ball(g, 0, 2 * big - 1, "out") == {0, 1}
+
     @pytest.mark.parametrize("v, radius, direction, within, message", [
         (0, -1, "out", None, "radius must be nonnegative"),
         (0, 1, "both", None, "direction must be 'in' or 'out'"),
@@ -233,6 +241,13 @@ class TestDecomposition:
         assert sorted(result.components) == [(v,) for v in range(n)]
         report = verify_ldd(g, d, result)
         assert report.passed, [v.to_json() for v in report.violations]
+
+    def test_huge_d_on_a_cycle_is_one_component(self):
+        n = 64
+        g = DiGraph.from_edges(n, [(i, (i + 1) % n, 1) for i in range(n)])
+        result = low_diameter_decomposition(g, 2**62, np.random.SeedSequence(0))
+        assert result.removed_edges == ()
+        assert result.components == (tuple(range(n)),)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError, match="d must be at least 1"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from shallowcut import (
     DiGraph,
@@ -26,7 +27,7 @@ from shallowcut import (
     verify_shortcut,
 )
 from shallowcut import graphs
-from shallowcut.graphs import dist_all_pairs, dist_from_sources
+from shallowcut.graphs import dist_all_pairs
 
 
 EMPTY = WeightedEdgeSet.empty()
@@ -122,12 +123,12 @@ class TestHopRadius:
     def test_open_sources_span_several_chunks(self, monkeypatch):
         chunks = []
 
-        def recording(graph, sources, **kwargs):
-            chunks.append(len(sources))
-            return dist_from_sources(graph, sources, **kwargs)
+        def recording(csr, **kwargs):
+            chunks.append(len(kwargs["indices"]))
+            return dijkstra(csr, **kwargs)
 
         monkeypatch.setattr(verify, "_CELLS", 36)
-        monkeypatch.setattr(verify, "dist_from_sources", recording)
+        monkeypatch.setattr(verify, "dijkstra", recording)
         g = unit_path(12)
         assert verify._hop_radius(g, WeightedEdgeSet.empty()) == 11
         # sources 0..9 reach a vertex that is not an out-neighbour
@@ -137,7 +138,7 @@ class TestHopRadius:
         def refuse(*args, **kwargs):
             raise AssertionError("no source should be searched")
 
-        monkeypatch.setattr(verify, "dist_from_sources", refuse)
+        monkeypatch.setattr(verify, "dijkstra", refuse)
         closure = WeightedEdgeSet.from_triples(
             [(i, j, 1) for i in range(8) for j in range(i + 1, 8)]
         )
@@ -283,6 +284,33 @@ class TestUnionBuiltOnce:
         monkeypatch.setattr(DiGraph, "with_extra", counting)
         assert check(g, hopset).passed
         assert built == [len(hopset)] and len(hopset) > 0
+
+    @pytest.mark.parametrize("check, sorts, report", [
+        (lambda g, hopset: verify_hopset(g, hopset, 1, 4), 2, (False, 140, Fraction(87, 8))),
+        (lambda g, hopset: verify_distance_preservation(g, hopset), 1, (True, 0, None)),
+    ], ids=["verify_hopset", "verify_distance_preservation"])
+    def test_hop_radius_searches_the_union_csr(self, monkeypatch, check, sorts, report):
+        """On a weighted G, the hop radius's searches count hops on the CSR
+        of G union H that the distance checks sort, not on a unit-length
+        copy: verify_hopset sorts the union twice (forward for distances,
+        reverse for the h-hop pass), verify_distance_preservation once."""
+        n = 40
+        g = DiGraph.from_edges(n, [(i, (i + 1) % n, 1 + i % 3) for i in range(n)])
+        call = OracleCall(Fraction(1), g, 2 * n, 4)
+        hopset = HubSamplingOracle(n, 0.1).build(call, np.random.default_rng(0))
+        # a radius above 1 comes from searches
+        assert verify._hop_radius(g, hopset) == reference_hop_radius(g, hopset) == 2
+        union = g.edge_count + len(hopset)
+        built = []
+        min_csr = graphs._min_csr
+        monkeypatch.setattr(
+            graphs, "_min_csr", lambda n, t, *rest: built.append(len(t)) or min_csr(n, t, *rest)
+        )
+        result = check(g, hopset)
+        assert built.count(union) == sorts
+        passed, count, stretch = report
+        assert (result.passed, result.violation_count) == (passed, count)
+        assert (result.measured_stretch, result.measured_hopbound) == (stretch, 2)
 
 
 class TestVerifyShortcut:
