@@ -2,11 +2,16 @@
 diameter and reachability primitives everything else is built on.
 
 Distances are kept as float64 matrices with ``numpy.inf`` as the
-unreachable sentinel. A finite entry is an exact integer while it stays
-below 2**53; nothing here enforces that, since a DiGraph takes any int64
-length up to its N. shallow_reduce._measure packs lengths and hops into one
-weight, length * n + hops, and counts no hops once a packed distance
-reaches 2**53. Hopsets and shortcuts share one canonical edge-row format
+unreachable sentinel. An all-pairs pass runs Floyd-Warshall on a dense
+graph (nnz >= n^2 / 4 in its CSR) and Dijkstra on a sparse one, a rule
+whose one home is _distances. Either way a finite entry is an exact integer
+while it stays below 2**53: each sum of integers below 2**53 is exact, and
+each sum at or past it rounds to at least 2**53, whether it adds one edge
+(Dijkstra) or two parts of a path (Floyd-Warshall). Nothing here enforces
+that range, since a DiGraph takes any int64 length up to its N.
+shallow_reduce._measure packs lengths and hops into one weight, length * n
++ hops, and counts no hops once a packed distance reaches 2**53. Hopsets
+and shortcuts share one canonical edge-row format
 (sorted, unique, read-only int64 columns that compare by value), whose one
 home is _EdgeRows. The records of a run (verification, clustered-DAG, phase and
 reduction reports) share one JSON form, whose one home is Record.to_json.
@@ -31,7 +36,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra, floyd_warshall
 
 INF = np.inf
 
@@ -129,8 +134,11 @@ class DiGraph:
 
     @cached_property
     def _csr_rev(self) -> sp.csr_matrix:
-        """The same for the reversed graph: row v lists v's in-edges."""
-        return _min_csr(self.vertex_count, self.heads, self.tails, self.lengths)
+        """The same for the reversed graph: row v lists v's in-edges. It is
+        the transpose of _csr, so the edges are sorted once."""
+        mat = self._csr.T.tocsr()
+        mat.sort_indices()
+        return _read_only(mat)
 
     def reversed(self) -> "DiGraph":
         """The graph with every edge turned around. Its CSR matrices are this
@@ -174,7 +182,10 @@ def _min_csr(n: int, tails: np.ndarray, heads: np.ndarray, lengths: np.ndarray) 
     # one row per (tail, head) pair, the lightest, already in CSR order
     t, h, w = _sorted_unique(tails[keep], heads[keep], lengths[keep], key_columns=2)
     indptr = np.searchsorted(t, np.arange(n + 1, dtype=_INT))
-    mat = sp.csr_matrix((w.astype(np.float64), h, indptr), shape=(n, n))
+    return _read_only(sp.csr_matrix((w.astype(np.float64), h, indptr), shape=(n, n)))
+
+
+def _read_only(mat: sp.csr_matrix) -> sp.csr_matrix:
     for arr in (mat.data, mat.indices, mat.indptr):
         arr.setflags(write=False)
     return mat
@@ -359,8 +370,22 @@ def dist_from_sources(g: DiGraph, sources: Optional[Sequence[int]]) -> np.ndarra
     if g.vertex_count == 0:
         k = 0 if sources is None else len(sources)
         return np.zeros((k, 0))
-    indices = None if sources is None else np.asarray(sources, dtype=_INT)
-    return dijkstra(g._csr, directed=True, indices=indices)
+    return _distances(g._csr, None if sources is None else np.asarray(sources, dtype=_INT))
+
+
+def _distances(csr: sp.csr_matrix, sources: Optional[np.ndarray]) -> np.ndarray:
+    """Distances over a positive-weight n x n CSR matrix, n >= 1, from each
+    source (every vertex when sources is None), inf when unreachable.
+
+    From every vertex it runs Floyd-Warshall once nnz >= n^2 / 4 and
+    Dijkstra otherwise, the rule of scipy's shortest_path(method="auto");
+    from some sources, Dijkstra. Both are exact on integer weights while a
+    distance stays below 2**53 (see the module docstring).
+    """
+    n = csr.shape[0]
+    if sources is None and csr.nnz >= n * n / 4:
+        return floyd_warshall(csr, directed=True)
+    return dijkstra(csr, directed=True, indices=sources)
 
 
 def hop_limited_dist(g: DiGraph, h: int, sources: Optional[Sequence[int]] = None) -> np.ndarray:

@@ -14,10 +14,15 @@ Python-int bitmask over global vertex ids: pieces, balls, balanced-set
 unions and the light/heavy marks are masks, so membership, union and
 intersection are word operations and ``int.bit_count`` is a set's size.
 The adjacency lists each vertex's (length, successor mask) pairs, lengths
-ascending. The first decomposition of a graph at a given d builds it, and it
+ascending, with every edge longer than d/2 in one last entry that no search
+takes. The first decomposition of a graph at a given d builds it, and it
 stays on the graph for as long as the graph lives, for every later one at
-that d (a phase's repetitions, removal trials). Numpy is used only for the
-pinned random draws and to split a node's edges by one bool vector per side.
+that d (a phase's repetitions, removal trials). A node carries no edge
+list: its edges are those of g with both ends in its piece, so the
+adjacency and a mask of the self-loops tell whether it has any, and the
+removed edges are read off once at the end, from the order of the coarse
+groups and the few nodes that cut more (see _Decomposition.removed_edges).
+Inside the recursion numpy makes only the pinned random draws.
 A mask is as wide as the highest vertex id it holds, so each operation costs
 up to n/64 machine words and a successor mask up to n bits: the layout pays
 off up to a few thousand vertices, not on graphs of tens of thousands. The
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -107,13 +113,15 @@ def _members(mask: int) -> list[int]:
 
 
 def _adjacency(mat: sp.csr_matrix, max_length: int) -> _Adjacency:
-    """Successor masks of a min-length CSR matrix, grouped by edge length;
-    edges longer than max_length (the largest search radius) are left out."""
+    """Successor masks of a min-length CSR matrix, grouped by edge length,
+    lengths ascending. The edges longer than max_length (the largest search
+    radius) share one last entry of length max_length + 1, which no search
+    traverses, so that every edge but a self-loop shows in the masks."""
     n = mat.shape[0]
     rows = np.repeat(np.arange(n, dtype=_INT), np.diff(mat.indptr))
     lengths = mat.data.astype(_INT)
-    short = lengths <= max_length
-    rows, lengths, heads = rows[short], lengths[short], mat.indices[short]
+    lengths[lengths > max_length] = max_length + 1
+    heads = mat.indices
     order = np.lexsort((lengths, rows))
     rows, lengths, heads = rows[order], lengths[order], heads[order]
     new = np.ones(len(rows), dtype=bool)
@@ -235,11 +243,10 @@ def low_diameter_decomposition(
     if n == 0:
         return LddResult((), ())
     run = _Decomposition(g, _graph_adjacency(g, d), d)
-    run.node((1 << n) - 1, np.arange(g.edge_count, dtype=_INT), _Seed.of(seed_seq))
-    removed = (
-        np.unique(np.concatenate(run.removed)) if run.removed else np.empty(0, dtype=_INT)
-    )
-    return LddResult(tuple(removed.tolist()), tuple(_refine_to_sccs(g, removed, run.groups)))
+    run.node((1 << n) - 1, _Seed.of(seed_seq))
+    groups = [_members(group) for group in run.groups]
+    removed = run.removed_edges(groups)
+    return LddResult(tuple(removed.tolist()), tuple(_refine_to_sccs(g, removed, groups)))
 
 
 def _words(x: int) -> list[int]:
@@ -288,18 +295,33 @@ class _Seed(NamedTuple):
 
 
 class _Decomposition:
-    """One recursion over g. Each node is a piece (vertex mask) with its
-    internal edges (indices into g's edge arrays); nodes append their
-    removed edge-index chunks to ``removed`` and their coarse vertex groups
-    (masks) to ``groups`` in topological order."""
+    """One recursion over g. Each node is a piece (vertex mask); its edges
+    are the edges of g with both ends in it. Nodes append their coarse
+    vertex groups (masks) to ``groups`` in topological order, and record
+    the removals that do not point backwards in that order: the pieces that
+    gave up, and each case-2 node's (a_out, piece)."""
 
     def __init__(self, g: DiGraph, adj: tuple[_Adjacency, _Adjacency], d: int):
-        self.n = g.vertex_count
-        self.tails, self.heads = g.tails, g.heads
+        self.g = g
         self.fwd, self.rev = adj
+        self.loops = _mask(g.tails[g.tails == g.heads].tolist())
         self.d = d
-        self.removed: list[np.ndarray] = []
         self.groups: list[int] = []
+        self.gave_up: list[int] = []
+        self.case_two: list[tuple[int, int]] = []
+
+    def has_edge_inside(self, piece: int) -> bool:
+        """Does g have an edge with both ends in piece? Vertex by vertex,
+        lowest first, since a piece with an edge mostly shows one at once."""
+        if piece & self.loops:
+            return True
+        rest = piece
+        while rest:
+            low = rest & -rest
+            if any(succ & piece for _, succ in self.fwd[low.bit_length() - 1]):
+                return True
+            rest ^= low
+        return False
 
     def within_both_ways(self, u: int, piece: int, targets: int) -> bool:
         """Is every vertex of targets within distance d/2 of u and u within
@@ -309,9 +331,9 @@ class _Decomposition:
             targets & ~_ball(self.fwd, u, r, piece) or targets & ~_ball(self.rev, u, r, piece)
         )
 
-    def node(self, piece: int, edges: np.ndarray, seed: _Seed) -> None:
+    def node(self, piece: int, seed: _Seed) -> None:
         nv = piece.bit_count()
-        if nv <= 1 or len(edges) == 0:
+        if nv <= 1 or not self.has_edge_inside(piece):
             # no internal edges left: nothing to remove, refinement will
             # split the group into singletons
             if piece:
@@ -356,11 +378,11 @@ class _Decomposition:
         # A_out is only grown when A_in does not split.
         a_in = _balanced(self.rev, piece, nv, in_light, d, rng)
         if nv < 10 * a_in.bit_count() <= 9 * nv:
-            self.split(piece, a_in, edges, seed, into=True)
+            self.split(piece, a_in, seed, into=True)
             return
         a_out = _balanced(self.fwd, piece, nv, out_light, d, rng)
         if nv < 10 * a_out.bit_count() <= 9 * nv:
-            self.split(piece, a_out, edges, seed, into=False)
+            self.split(piece, a_out, seed, into=False)
             return
 
         # Clean up: the untouched middle must sit within d/2 of one vertex.
@@ -371,34 +393,45 @@ class _Decomposition:
             ok = self.within_both_ways((mid & -mid).bit_length() - 1, piece, mid)
         if not ok:
             # give up on this subproblem: drop every edge, singleton components
-            self.removed.append(edges)
+            self.gave_up.append(piece)
             self.groups.extend(1 << v for v in ids)
             return
 
         # Case 2: both sides small; middle becomes its own ordered block.
-        in_t, in_h = self.sides(a_in, edges)
-        out_t, out_h = self.sides(a_out, edges)
-        self.removed += [edges[in_h & ~in_t], edges[out_t & ~out_h]]
-        self.node(a_in, edges[in_t & in_h], seed.child(0))
+        # The edges leaving a_out within the piece are cut as well.
+        self.case_two.append((a_out, piece))
+        self.node(a_in, seed.child(0))
         if mid:
             self.groups.append(mid)
-        self.node(a_out & ~a_in, edges[out_t & out_h & ~(in_t | in_h)], seed.child(1))
+        self.node(a_out & ~a_in, seed.child(1))
 
-    def sides(self, a: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Which of the edges have their tail, and which their head, in a."""
-        bits = _bits(a, self.n)
-        return bits[self.tails[edges]], bits[self.heads[edges]]
-
-    def split(self, piece: int, a: int, edges: np.ndarray, seed: _Seed, into: bool) -> None:
-        """Cut the edges entering a (into) or leaving it, then recurse on a
-        and on the rest of piece, in topological order."""
-        a_t, a_h = self.sides(a, edges)
-        self.removed.append(edges[a_h & ~a_t] if into else edges[a_t & ~a_h])
-        inside = (a, edges[a_t & a_h], seed.child(0))
-        outside = (piece & ~a, edges[~(a_t | a_h)], seed.child(1))
+    def split(self, piece: int, a: int, seed: _Seed, into: bool) -> None:
+        """Recurse on a and on the rest of piece, in topological order: a
+        first when the edges entering it (into) are cut, last when the edges
+        leaving it are, so that the cut edges point backwards."""
+        inside = (a, seed.child(0))
+        outside = (piece & ~a, seed.child(1))
         # the children's seeds do not depend on the order they run in
         for child in (inside, outside) if into else (outside, inside):
             self.node(*child)
+
+    def removed_edges(self, groups: list[list[int]]) -> np.ndarray:
+        """The removed edges' indices, ascending, given the members of each
+        coarse group: the edges that point backwards in the order of the
+        groups, every edge inside a piece that gave up, and for each case-2
+        node the edges from a_out into the rest of its piece."""
+        g, n = self.g, self.g.vertex_count
+        label = np.empty(n, dtype=_INT)
+        label[np.fromiter(chain.from_iterable(groups), dtype=_INT, count=n)] = np.repeat(
+            np.arange(len(groups), dtype=_INT), [len(group) for group in groups]
+        )
+        removed = label[g.tails] > label[g.heads]
+        for piece in self.gave_up:
+            inside = _bits(piece, n)
+            removed |= inside[g.tails] & inside[g.heads]
+        for a_out, piece in self.case_two:
+            removed |= _bits(a_out, n)[g.tails] & _bits(piece & ~a_out, n)[g.heads]
+        return np.flatnonzero(removed)
 
 
 def _count(planes: list[int], mask: int) -> None:
@@ -429,10 +462,12 @@ def _above(planes: list[int], k: int) -> int:
     return above
 
 
-def _refine_to_sccs(g: DiGraph, removed: np.ndarray, coarse: list[int]) -> list[tuple[int, ...]]:
-    """Split each coarse group (vertex mask) into the strongly connected
-    components of G - E^rem it contains: the groups in turn, each group's
-    components as scc_topological orders its induced subgraph alone.
+def _refine_to_sccs(
+    g: DiGraph, removed: np.ndarray, coarse: list[list[int]]
+) -> list[tuple[int, ...]]:
+    """Split each coarse group (its vertices, ascending) into the strongly
+    connected components of G - E^rem it contains: the groups in turn, each
+    group's components as scc_topological orders its induced subgraph alone.
 
     The groups are in topological order, so no cycle of G - E^rem leaves a
     group, and one scc_topological pass over the groups' blocks finds every
@@ -441,7 +476,7 @@ def _refine_to_sccs(g: DiGraph, removed: np.ndarray, coarse: list[int]) -> list[
     of labels, and the smallest-label-first order lists the blocks in turn."""
     keep = np.ones(g.edge_count, dtype=bool)
     keep[removed] = False
-    blocks, ids, _ = group_blocks(g.edge_subset(keep), [_members(group) for group in coarse])
+    blocks, ids, _ = group_blocks(g.edge_subset(keep), coarse)
     ids = ids.tolist()
     return [tuple(ids[v] for v in comp) for comp in scc_topological(blocks)]
 

@@ -103,8 +103,9 @@ class ExactTransitiveOracle:
     def build(self, call: OracleCall, rng: np.random.Generator) -> WeightedEdgeSet:
         dist = dist_all_pairs(call.graph)
         np.fill_diagonal(dist, np.inf)
-        t, h = np.nonzero(np.isfinite(dist))
-        return WeightedEdgeSet.from_arrays(t, h, dist[t, h].astype(np.int64))
+        # row-major nonzero lists the pairs sorted and unique: canonical rows
+        t, h = (a.astype(np.int64, copy=False) for a in np.nonzero(np.isfinite(dist)))
+        return WeightedEdgeSet(t, h, dist[t, h].astype(np.int64))
 
 
 class HubSamplingOracle:

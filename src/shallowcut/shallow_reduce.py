@@ -40,7 +40,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
 
 from .dag_reduce import DagIterationRecord, reduce_clustered_dag
 from .graphs import (
@@ -49,6 +48,7 @@ from .graphs import (
     EdgeSet,
     Record,
     WeightedEdgeSet,
+    _distances,
     dist_all_pairs,
     group_blocks,
     scc_topological,
@@ -432,13 +432,16 @@ def _measure(gu: DiGraph) -> Optional[int]:
     shortest path (0 when no vertex reaches another), or None when float64
     cannot count them exactly.
 
-    One Dijkstra on the weights length * n + 1, over gu's simple CSR
-    (self-loops dropped, the lightest edge kept per pair): a path's weight
-    is its length times n plus its hops, and a shortest path with the
-    fewest hops is simple, so under n hops. The distance d from u to v is
-    thus dist(u, v) * n plus those fewest hops, which are d mod n. The
+    One shortest-path pass on the weights length * n + 1, over gu's simple
+    CSR (self-loops dropped, the lightest edge kept per pair): a path's
+    weight is its length times n plus its hops, and a shortest path with
+    the fewest hops is simple, so under n hops. The distance d from u to v
+    is thus dist(u, v) * n plus those fewest hops, which are d mod n. The
     searches run from chunks of _CELLS // n sources, so at most about
-    _CELLS distances are held at once. A path weight below 2^53 is summed
+    _CELLS distances are held at once. When one chunk holds every source
+    (n^2 <= _CELLS), graphs._distances picks the kernel by density, so a
+    dense G union H runs Floyd-Warshall; otherwise each chunk runs
+    Dijkstra. Under either kernel a path weight below 2^53 is summed
     exactly, and one at or past 2^53 rounds to at least 2^53, so while a
     chunk's largest finite d stays below 2^53 every d of it is exact; at
     the first chunk where it does not, this returns None.
@@ -451,7 +454,7 @@ def _measure(gu: DiGraph) -> Optional[int]:
     chunk = max(1, _CELLS // n)
     hops = 0
     for start in range(0, n, chunk):
-        d = dijkstra(weighted, directed=True, indices=np.arange(start, min(start + chunk, n)))
+        d = _distances(weighted, None if chunk >= n else np.arange(start, min(start + chunk, n)))
         d[np.isinf(d)] = 0  # unreached: no hops to count
         if d.max() >= _FLOAT_EXACT:
             return None

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from shallowcut import (
     DiGraph,
@@ -41,6 +42,19 @@ def random_graphs(draw, max_n=50, max_m=150, max_len=8):
         )
         for _ in range(m)
     ]
+    return DiGraph.from_edges(n, edges, max_length_bound=max_len)
+
+
+@st.composite
+def kernel_graphs(draw, max_n=10, max_len=9):
+    """Graphs on both sides of nnz = n^2 / 4 in their simple CSR: up to 2n^2
+    edges with self-loops, parallel edges and, when sparse, unreachable
+    pairs."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    if n == 0:
+        return DiGraph.from_edges(0, [])
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, max_len))
+    edges = draw(st.lists(edge, max_size=2 * n * n))
     return DiGraph.from_edges(n, edges, max_length_bound=max_len)
 
 
@@ -227,6 +241,27 @@ class TestDiGraph:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0
+
+
+class TestReverseCsr:
+    @given(random_graphs(max_n=12, max_m=80))
+    @settings(max_examples=100, deadline=None)
+    @example(DiGraph.from_edges(0, []))
+    @example(DiGraph.from_edges(3, [(0, 0, 2), (1, 1, 1)]))
+    @example(DiGraph.from_edges(3, [(0, 1, 4), (0, 1, 2), (2, 2, 1), (1, 0, 3), (2, 0, 1)]))
+    def test_is_the_sorted_reverse_edge_list(self, g):
+        # _csr_rev transposes _csr; it must be the matrix that sorting the
+        # reversed edges builds, down to dtypes and flags
+        got = g._csr_rev
+        want = _min_csr(g.vertex_count, g.heads, g.tails, g.lengths)
+        got.check_format(full_check=True)
+        assert got.shape == want.shape
+        assert got.has_sorted_indices and want.has_sorted_indices
+        for mine, ref in ((got.data, want.data), (got.indices, want.indices),
+                          (got.indptr, want.indptr)):
+            assert mine.dtype == ref.dtype
+            assert np.array_equal(mine, ref)
+            assert not mine.flags.writeable and not ref.flags.writeable
 
 
 class TestEdgeSets:
@@ -463,6 +498,46 @@ class TestDistances:
         want = scatter_hop_limited_dist(g, extra, h, sources=sources)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+class TestDistanceKernels:
+    """dist_all_pairs runs Floyd-Warshall once nnz >= n^2 / 4 and Dijkstra
+    below; both must give Dijkstra's matrix."""
+
+    @given(kernel_graphs())
+    @settings(max_examples=200, deadline=None)
+    @example(DiGraph.from_edges(0, []))
+    @example(DiGraph.from_edges(1, []))
+    @example(DiGraph.from_edges(1, [(0, 0, 3)]))
+    # nnz 3 < 4: Dijkstra; then nnz 4: Floyd-Warshall, vertex 3 unreachable
+    @example(DiGraph.from_edges(4, [(0, 1, 2), (1, 2, 2), (0, 2, 5), (0, 2, 3), (3, 3, 1)]))
+    @example(DiGraph.from_edges(4, [(0, 1, 2), (1, 2, 2), (0, 2, 5), (2, 0, 1), (3, 3, 1)]))
+    def test_matches_a_dijkstra_reference(self, g):
+        n = g.vertex_count
+        want = dijkstra(g._csr, directed=True) if n else np.zeros((0, 0))
+        got = dist_all_pairs(g)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("pairs, kernel", [
+        ([(0, 1), (1, 2), (2, 3), (3, 0)], "floyd_warshall"),
+        ([(0, 1), (1, 2), (2, 3), (3, 3)], "dijkstra"),
+        ([(0, 1), (1, 2), (2, 3), (0, 1)], "dijkstra"),
+    ], ids=["nnz-at-quarter", "self-loop-not-counted", "parallel-edge-not-counted"])
+    def test_density_of_the_simple_csr_picks_the_kernel(self, monkeypatch, pairs, kernel):
+        used = []
+        for name in ("floyd_warshall", "dijkstra"):
+            original = getattr(graphs, name)
+            monkeypatch.setattr(
+                graphs, name, lambda *a, _f=original, _n=name, **k: used.append(_n) or _f(*a, **k)
+            )
+        g = DiGraph.from_edges(4, [(t, h, 1) for t, h in pairs])
+        dist_all_pairs(g)
+        assert used == [kernel]
+        # a pass from some sources is Dijkstra's whatever the density
+        used.clear()
+        graphs.dist_from_sources(g, [0, 1, 2, 3])
+        assert used == ["dijkstra"]
 
 
 class TestDiameters:

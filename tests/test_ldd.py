@@ -367,6 +367,69 @@ class TestPinnedOutputs:
         assert got == self.LOOPY
 
 
+def _forced_balanced(overlap):
+    """A _balanced that never lets a side split: in each drawing node, A_in
+    is the lowest tenth of the piece and A_out the next tenth, or with
+    overlap the tenth that starts half-way through A_in."""
+    calls = []
+
+    def balanced(adj, piece, nv, centers, d, rng):
+        calls.append(piece)
+        ids, k = ldd._members(piece), nv // 10
+        if len(calls) % 2:  # every node grows A_in, then A_out
+            return ldd._mask(ids[:k])
+        start = k // 2 if overlap else k
+        return ldd._mask(ids[start:start + k])
+
+    return balanced
+
+
+def _path_into_a_core():
+    """A unit path 0 -> 1 -> ... -> 12 into a dense core on 12..79 with
+    unit edges and some long ones, plus a self-loop, a parallel edge, a
+    long back edge 7 -> 2 and an edge 5 -> 30 from the overlap of A_in and
+    A_out into the middle."""
+    rng = np.random.default_rng(5)
+    n, m = 80, 600
+    t = rng.integers(12, n, size=m)
+    h = rng.integers(12, n, size=m)
+    w = np.where(np.arange(m) < 520, 1, rng.integers(2, 40, size=m))
+    path = np.arange(12)
+    t = np.concatenate([t, path, [40, 3, 3, 7, 70, 5]])
+    h = np.concatenate([h, path + 1, [0, 3, 9, 2, 5, 30]])
+    w = np.concatenate([w, np.ones(12, dtype=np.int64), [1, 2, 1, 30, 1, 1]])
+    return DiGraph.from_arrays(n, t, h, w, 40)
+
+
+class TestPinnedForcedBranches:
+    """Digests of the branches no natural input above reaches, with
+    _balanced patched, recorded from the implementation that carried each
+    node's edge indices and cut them with numpy: case 2 (both balanced sets
+    small, the middle within d/2 of one vertex) with A_in and A_out
+    disjoint and overlapping, and a node that gives up. In the case-2
+    inputs the children give up in turn."""
+
+    @pytest.mark.parametrize("overlap, digest", [
+        (False, "c1b377b6dc11"),
+        (True, "2d5372fb0604"),
+    ], ids=["disjoint", "overlapping"])
+    def test_case_two(self, monkeypatch, overlap, digest):
+        monkeypatch.setattr(ldd, "_balanced", _forced_balanced(overlap))
+        g, d = _path_into_a_core(), 8
+        result = low_diameter_decomposition(g, d, np.random.SeedSequence(3))
+        assert _digest(result) == digest
+        report = verify_ldd(g, d, result)
+        assert report.passed, [v.to_json() for v in report.violations]
+
+    def test_give_up(self, monkeypatch):
+        monkeypatch.setattr(ldd, "_balanced", lambda adj, piece, *rest: piece)
+        n, d = 16, 4
+        g = DiGraph.from_edges(n, [(i, (i + 1) % n, 1) for i in range(n)])
+        result = low_diameter_decomposition(g, d, np.random.SeedSequence(0))
+        assert _digest(result) == "81bf6eff1fb4"
+        assert verify_ldd(g, d, result).passed
+
+
 class TestSeedWords:
     """A node's seed is the words its SeedSequence mixes; the streams must
     be numpy's own for the same entropy, spawn key and pool size."""
@@ -413,8 +476,7 @@ class TestRefineToSccs:
         keep[removed] = False
         remaining = g.edge_subset(keep)
         out = []
-        for mask in coarse:
-            group = [v for v in range(g.vertex_count) if mask >> v & 1]
+        for group in coarse:
             if len(group) == 1:
                 out.append(tuple(group))
                 continue

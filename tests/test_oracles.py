@@ -120,6 +120,16 @@ class TestExactTransitiveOracle:
         out = ExactTransitiveOracle(30).build(call_on(g), rng)
         assert verify_hopset(g, out, 1, 1).passed
 
+    @given(multigraphs(max_n=16, max_m=60))
+    @settings(max_examples=80, deadline=None)
+    @example(DiGraph.from_edges(1, [(0, 0, 1)], max_length_bound=1))
+    @example(DiGraph.from_edges(4, [(0, 1, 3), (0, 1, 1), (1, 0, 2), (2, 2, 1), (2, 3, 5)]))
+    def test_rows_are_canonical_as_built(self, g):
+        # build skips the sort: its rows must be the set from_arrays makes
+        out = ExactTransitiveOracle(g.vertex_count).build(call_on(g), np.random.default_rng(0))
+        assert out == WeightedEdgeSet.from_arrays(out.tails, out.heads, out.lengths)
+        assert all(col.dtype == np.int64 for col in (out.tails, out.heads, out.lengths))
+
     def test_satisfies_protocol(self):
         assert isinstance(ExactTransitiveOracle(4), ShallowOracle)
 
@@ -142,7 +152,8 @@ class TestHubSamplingOracle:
     def test_one_min_csr_per_direction(self, monkeypatch):
         # the in-distances run on g.reversed(), whose CSR matrices are g's
         # own, so a call on a graph whose forward matrix exists (as every
-        # pipeline call's does) builds only g's reverse one
+        # pipeline call's does) builds only g's reverse one, and that one is
+        # the transpose of the forward matrix: no edge list is sorted again
         built = []
         min_csr = graphs._min_csr
 
@@ -154,7 +165,8 @@ class TestHubSamplingOracle:
         g = generate(GeneratorSpec("cycle", n=64))
         g._csr
         out = HubSamplingOracle(64, 0.1).build(call_on(g, lam=4, h=4), np.random.default_rng(3))
-        assert built == [(id(g.tails), id(g.heads)), (id(g.heads), id(g.tails))]
+        assert built == [(id(g.tails), id(g.heads))]
+        assert "_csr_rev" in vars(g)
         monkeypatch.undo()
         hubs = np.flatnonzero(np.random.default_rng(3).random(64) < 0.1)
         assert len(hubs) > 0

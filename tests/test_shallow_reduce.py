@@ -477,6 +477,34 @@ class TestMeasure:
         assert shallow_reduce._measure(DiGraph.from_edges(16, edges)) == 15
 
 
+class TestMeasureOnADenseUnion:
+    """With every source in one chunk and nnz >= n^2 / 4, _measure runs
+    Floyd-Warshall, which adds the distances of two parts of a path; its
+    exact range must still end where Dijkstra's does, at 2^53."""
+
+    # 0 -> 1 -> 2 -> 3 and a heavier 0 -> 2, 4 pairs on 4 vertices: the
+    # largest packed distance is 4 * dist(0, 3) + 3 hops, 2^53 - 1 for the
+    # first case and 2^53 + 3 for the second
+    @pytest.mark.parametrize("longest, hops", [((1 << 51) - 1, 3), (1 << 51, None)])
+    # None keeps one chunk of sources (Floyd-Warshall); 4 cells take one
+    # source per chunk (Dijkstra)
+    @pytest.mark.parametrize("cells, kernels", [(None, ["floyd_warshall"]), (4, [])])
+    def test_exact_range_ends_at_two_to_the_53(self, monkeypatch, longest, hops, cells, kernels):
+        if cells is not None:
+            monkeypatch.setattr(shallow_reduce, "_CELLS", cells)
+        used = []
+        floyd_warshall = graphs.floyd_warshall
+        monkeypatch.setattr(
+            graphs, "floyd_warshall",
+            lambda *a, **k: used.append("floyd_warshall") or floyd_warshall(*a, **k),
+        )
+        a = 1 << 50
+        b = longest - 1 - a
+        g = DiGraph.from_edges(4, [(0, 1, a), (1, 2, b), (2, 3, 1), (0, 2, longest)])
+        assert shallow_reduce._measure(g) == hops
+        assert used == kernels
+
+
 class NoEdgesOracle(ExactTransitiveOracle):
     """Returns no edges at all."""
 
