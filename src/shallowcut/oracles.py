@@ -11,9 +11,9 @@ generator, so no oracle seeds itself.
 `checked_call` enforces the size law on every call, and
 `shortcut_as_hopset` rejects a shortcut edge whose tail does not reach its
 head in the call's graph. In hopset mode `shallow_reduce._run_epochs`
-holds each phase's edges against the input's exact distances: it raises on
-an edge between unreachable vertices and clamps one shorter than the
-distance up to it. Neither the shallow-input
+checks H against the input's exact distances once per epoch: it raises on
+an edge shorter than the distance, an edge between unreachable vertices
+among them. Neither the shallow-input
 promise nor the hopbound an oracle's output reaches is checked at run time,
 since each check costs all-pairs passes per call: `tests/test_oracles.py`
 records the calls and outputs of small runs and checks both with the

@@ -23,11 +23,14 @@ working graph, and a lambda' with no eps factor.
 Both modes stop by one rule. After each epoch the loop records the fewest
 hops within which every reachable pair has a shortest path in G union H,
 and it stops once that is at most h. In shortcut mode that is the hop
-radius. In hopset mode the clamp keeps every edge at least the true
-distance, so G union H has the distances of G, and the rule holds exactly
-when every reachable pair has an h-hop path of its true length: h-hop
-stretch 1. Either target, once met, stays met, so later epochs could only
-add size.
+radius. In hopset mode each epoch checks H as kept, and an edge shorter
+than its pair's distance in the input (inf when unreachable) raises
+RuntimeError: nothing is repaired. Scaling up never shortens an edge
+(sigma * ceil(l / (eps * 2^j)) >= l) and a star spoke is at least its
+piece's weak diameter, so only a faulty oracle fails the check. Then
+G union H has G's distances, and the rule holds exactly when every
+reachable pair has an h-hop path of its true length: h-hop stretch 1.
+Either target, once met, stays met, so later epochs could only add size.
 """
 
 from __future__ import annotations
@@ -196,6 +199,7 @@ class ReductionReport(Record):
     total_size: int
     oracle_calls: int
     ldd_calls: int
+    # always 0, as a short edge raises; kept since report readers check it
     clamp_count: int
     lambda_prime: float
     lambda_prime_clamped: bool
@@ -305,9 +309,9 @@ def reduce_hopset(g: DiGraph, cfg: ReductionConfig, oracle: ShallowOracle) -> Re
     """Full pipeline: epochs of phases against a frozen snapshot, each epoch
     folding its union into the working graph.
 
-    The returned hopset preserves exact distances; in desk-scale runs any
-    candidate edge shorter than the true distance is clamped up and
-    counted (a nonzero count flags a bug).
+    The returned hopset preserves exact distances: each epoch raises
+    RuntimeError on the first kept edge shorter than its pair's true
+    distance, which only a faulty oracle gives.
     """
     return _run_epochs(g, cfg, oracle, shortcut=False)
 
@@ -342,9 +346,10 @@ def _run_epochs(
 ) -> ReductionReport:
     """The epoch loop of both modes.
 
-    Each epoch runs one phase per dyadic length band. Hopset mode clamps
-    candidate edges up to the true distance; shortcut mode has unit lengths
-    and nothing to clamp. After each epoch, epoch_hopbounds records the
+    Each epoch runs one phase per dyadic length band, all on the snapshot
+    g_cur, so no phase reads another's edges, and hopset mode checks H as
+    kept once, after min_per_pair: an edge shorter than its pair's distance
+    in dist0 raises RuntimeError. After each epoch, epoch_hopbounds records the
     fewest hops within which every reachable pair has a shortest path in
     G union H: _measure in hopset mode, and in shortcut mode _hop_metric,
     the hop radius. That is the same number at unit lengths, and it is kept
@@ -358,12 +363,12 @@ def _run_epochs(
     then the next epoch's run_phase reads it, and otherwise builds it if
     that epoch runs.
 
-    The loop stops at the first entry at most h. In hopset mode the clamp
-    leaves no edge shorter than the true distance, so that entry is at most
-    h exactly when the h-hop stretch is 1, and an edge added later could
-    not undo that: it is the certificate of stretch 1, and no stretch is
-    measured here. An epoch where _measure cannot count hops exactly (a
-    packed distance reaches 2^53) records no entry; dist0 serves the clamp.
+    The loop stops at the first entry at most h. In hopset mode the check
+    has passed by then, so that entry is at most h exactly when the h-hop
+    stretch is 1, and an edge added later could not undo that: it is the
+    certificate of stretch 1, and no stretch is measured here. An epoch
+    where _measure cannot count hops exactly (a packed distance reaches
+    2^53) records no entry; dist0 serves only the check.
     """
     n = g.vertex_count
     lp = cfg.lambda_prime(n)
@@ -374,31 +379,24 @@ def _run_epochs(
 
     cur = WeightedEdgeSet.empty()
     g_cur = g
-    clamp_count = 0
     traces: list[list[PhaseTrace]] = []
     epoch_hopbounds: list[int] = []
     for i in range(1, epochs + 1):
-        phase_outputs = []
-        phase_traces = []
-        for j in range(phases):
-            out, tr = run_phase(g_cur, i, j, cfg, oracle)
-            if dist0 is not None and len(out):
-                true = dist0[out.tails, out.heads]
-                if not np.isfinite(true).all():
-                    bad = int(np.flatnonzero(~np.isfinite(true))[0])
-                    raise RuntimeError(
-                        "produced an edge between unreachable vertices "
-                        f"({int(out.tails[bad])}, {int(out.heads[bad])})"
-                    )
-                short = out.lengths < true
-                if short.any():
-                    clamp_count += int(short.sum())
-                    fixed = np.where(short, true.astype(_INT), out.lengths)
-                    out = WeightedEdgeSet.from_arrays(out.tails, out.heads, fixed)
-            phase_outputs.append(out)
-            phase_traces.append(tr)
-        traces.append(phase_traces)
-        cur = WeightedEdgeSet.union(cur, *phase_outputs).min_per_pair()
+        outs, phase_traces = zip(*(run_phase(g_cur, i, j, cfg, oracle) for j in range(phases)))
+        traces.append(list(phase_traces))
+        cur = WeightedEdgeSet.union(cur, *outs).min_per_pair()
+        if dist0 is not None:
+            true = dist0[cur.tails, cur.heads]  # inf for an unreachable pair
+            ok = cur.lengths >= true
+            if not ok.all():
+                k = int(np.flatnonzero(~ok)[0])
+                u, v = int(cur.tails[k]), int(cur.heads[k])
+                raise RuntimeError(
+                    f"produced an edge between unreachable vertices ({u}, {v})"
+                    if np.isinf(true[k]) else
+                    f"produced an edge ({u}, {v}) of length {int(cur.lengths[k])}, "
+                    f"shorter than the distance {int(true[k])}"
+                )
         g_cur = g.with_extra(cur)
         hops = _hop_metric(g, cur, g_cur) if shortcut else _measure(g_cur)
         if hops is not None:
@@ -413,7 +411,7 @@ def _run_epochs(
         total_size=len(cur),
         oracle_calls=sum(tr.oracle_calls for tr in phase_list),
         ldd_calls=sum(rep.decompositions for tr in phase_list for rep in tr.repetitions),
-        clamp_count=clamp_count,
+        clamp_count=0,
         lambda_prime=lp,
         lambda_prime_clamped=cfg.lambda_prime_unclamped(n) < 2.0,
         epoch_count=epochs,
@@ -430,7 +428,8 @@ def _hop_metric(g: DiGraph, cur: WeightedEdgeSet, g_cur: DiGraph) -> int:
 def _measure(gu: DiGraph) -> Optional[int]:
     """The fewest hops within which every reachable pair of gu has a
     shortest path (0 when no vertex reaches another), or None when float64
-    cannot count them exactly.
+    cannot count them exactly. The epoch loop calls it once no edge of H is
+    shorter than the true distance, so these paths have G's lengths.
 
     One shortest-path pass on the weights length * n + 1, over gu's simple
     CSR (self-loops dropped, the lightest edge kept per pair): a path's
